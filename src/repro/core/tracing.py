@@ -31,7 +31,7 @@ Category conventions used across the stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "Tracer", "TRACE_CATEGORIES"]
 
@@ -82,7 +82,7 @@ class Tracer:
         self.wants_mpi = self.wants("mpi")
 
     # -- control --------------------------------------------------------
-    def enable(self, categories: Optional[set] = None) -> "Tracer":
+    def enable(self, categories: Optional[Iterable[str]] = None) -> "Tracer":
         """Turn tracing on (optionally restricted to ``categories``)."""
         self.enabled = True
         if categories is not None:

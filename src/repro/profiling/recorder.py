@@ -13,18 +13,20 @@ Two record streams:
 Recording can be scaled: application benchmarks that simulate a sample
 of iterations and extrapolate set ``scale`` so the derived statistics
 reflect the full run.
+
+Both record types are ``NamedTuple``s whose field order *is* the row
+format of the cached payload, so :meth:`Recorder.to_dict` and
+:meth:`Recorder.from_dict` convert whole streams in bulk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["CallRecord", "TransferRecord", "Recorder"]
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     """One user-level MPI call."""
 
     rank: int
@@ -39,8 +41,7 @@ class CallRecord:
     intra: Optional[bool]  # same-node peer? (None for collectives)
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One point-to-point message put on a wire or shared segment."""
 
     rank: int
@@ -98,11 +99,8 @@ class Recorder:
         return {
             "scale": self.scale,
             "sample_iters": self.sample_iters,
-            "calls": [[c.rank, c.func, c.peer, c.nbytes, c.buf_addr, c.t_start,
-                       c.t_end, c.blocking, c.collective, c.intra]
-                      for c in self.calls],
-            "transfers": [[t.rank, t.peer, t.nbytes, t.intra, t.in_collective,
-                           t.time] for t in self.transfers],
+            "calls": list(map(list, self.calls)),
+            "transfers": list(map(list, self.transfers)),
         }
 
     @classmethod
@@ -110,8 +108,8 @@ class Recorder:
         rec = cls()
         rec.scale = data["scale"]
         rec.sample_iters = data["sample_iters"]
-        rec.calls = [CallRecord(*row) for row in data["calls"]]
-        rec.transfers = [TransferRecord(*row) for row in data["transfers"]]
+        rec.calls = list(map(CallRecord._make, data["calls"]))
+        rec.transfers = list(map(TransferRecord._make, data["transfers"]))
         return rec
 
     # -- convenience -----------------------------------------------------------

@@ -8,8 +8,8 @@ extrapolated to full-length executions.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Sequence, Tuple
+from collections import Counter, defaultdict
+from typing import Any, Dict, Sequence, Set, Tuple
 
 from repro.core.units import KB, MB
 from repro.profiling.recorder import Recorder
@@ -86,9 +86,9 @@ def nonblocking_stats(rec: Recorder, per_process: bool = True) -> Dict[str, Dict
     out = {}
     div = _nranks(rec) if per_process else 1
     for func in ("isend", "irecv"):
-        records = [c for c in rec.calls if c.func == func]
-        n = len(records)
-        avg = sum(c.nbytes for c in records) / n if n else 0.0
+        sizes = [c.nbytes for c in rec.calls if c.func == func]
+        n = len(sizes)
+        avg = sum(sizes) / n if n else 0.0
         out[func] = {"calls": int(round(n * rec.scale / div)), "avg_size": avg}
     return out
 
@@ -115,7 +115,7 @@ def buffer_reuse_rate(rec: Recorder) -> Dict[str, float]:
     grand_total = 0
     for rank, calls in ordered.items():
         grand_total += len(calls)
-        seen = set()
+        seen: Set[int] = set()
         nsim = max(rec.sample_iters, 1)
         warm = len(calls) - len(calls) // nsim if nsim > 1 else 0
         for i, c in enumerate(calls):
@@ -134,16 +134,13 @@ def buffer_reuse_rate(rec: Recorder) -> Dict[str, float]:
             "calls": int(round(grand_total * rec.scale))}
 
 
-def collective_stats(rec: Recorder) -> Dict[str, float]:
+def collective_stats(rec: Recorder) -> Dict[str, Any]:
     """Table 5: collective call count, % of calls, % of volume."""
-    ncoll = sum(1 for c in rec.calls if c.collective)
+    by_name = Counter(c.func for c in rec.calls if c.collective)
+    ncoll = sum(by_name.values())
     ncalls = len(rec.calls)
     coll_vol = sum(t.nbytes for t in rec.transfers if t.in_collective)
     total_vol = sum(t.nbytes for t in rec.transfers)
-    by_name: Dict[str, int] = defaultdict(int)
-    for c in rec.calls:
-        if c.collective:
-            by_name[c.func] += 1
     div = _nranks(rec)
     return {
         "calls": int(round(ncoll * rec.scale / div)),
@@ -156,12 +153,12 @@ def collective_stats(rec: Recorder) -> Dict[str, float]:
 def intranode_stats(rec: Recorder) -> Dict[str, float]:
     """Table 6: intra-node share of point-to-point communication."""
     pt = [t for t in rec.transfers if not t.in_collective]
-    nintra = sum(1 for t in pt if t.intra)
-    vol_intra = sum(t.nbytes for t in pt if t.intra)
+    intra = [t.nbytes for t in pt if t.intra]
+    vol_intra = sum(intra)
     vol_total = sum(t.nbytes for t in pt)
     div = _nranks(rec)
     return {
-        "calls": int(round(nintra * rec.scale / div)),
-        "pct_calls": 100.0 * nintra / len(pt) if pt else 0.0,
+        "calls": int(round(len(intra) * rec.scale / div)),
+        "pct_calls": 100.0 * len(intra) / len(pt) if pt else 0.0,
         "pct_volume": 100.0 * vol_intra / vol_total if vol_total else 0.0,
     }

@@ -1,12 +1,17 @@
 """Tests for the trace recorder and the paper's derived statistics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.apps import run_app
 from repro.mpi import mpi_run
 from repro.profiling import (
+    CallRecord,
     Recorder,
+    TransferRecord,
     buffer_reuse_rate,
     collective_stats,
     intranode_stats,
@@ -14,6 +19,7 @@ from repro.profiling import (
     nonblocking_stats,
     transfer_size_histogram,
 )
+from repro.profiling.report import profile_dict
 
 
 def _mixed_traffic(comm):
@@ -52,6 +58,106 @@ class TestRecorder:
     def test_record_flag_off(self):
         res = mpi_run(_mixed_traffic, nprocs=2, network="infiniband", record=False)
         assert res.recorder is None
+
+
+class TestRecordCodec:
+    """The cached row format of the records, pinned to the byte."""
+
+    #: sha256 of the canonical JSON of IS.S at 4 ranks on InfiniBand,
+    #: computed when the records were still frozen dataclasses
+    IS_S_PAYLOAD_SHA256 = (
+        "efd2d210940a75aea524f6caf21f2b87fab03de62b600409c13d550fe2c2459f")
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return run_app("is", "S", "infiniband", 4).recorder.to_dict()
+
+    def test_payload_bytes_pinned(self, payload):
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.IS_S_PAYLOAD_SHA256
+
+    def test_round_trip(self, payload):
+        cached = json.loads(json.dumps(payload))
+        assert cached == payload  # rows stay lists, never tuples
+        assert Recorder.from_dict(payload).to_dict() == payload
+        assert Recorder.from_dict(cached).to_dict() == payload
+
+    @pytest.mark.parametrize("stream", ["calls", "transfers"])
+    @pytest.mark.parametrize("short", [True, False])
+    def test_wrong_row_length_raises(self, payload, stream, short):
+        row = payload[stream][0]
+        bad_row = row[:-1] if short else row + [0]
+        bad = dict(payload, **{stream: [bad_row] + payload[stream][1:]})
+        with pytest.raises(TypeError):
+            Recorder.from_dict(bad)
+
+    def test_records_immutable(self, payload):
+        rec = Recorder.from_dict(payload)
+        with pytest.raises(AttributeError):
+            rec.calls[0].nbytes = 1
+        with pytest.raises(AttributeError):
+            rec.transfers[0].time = 1.0
+
+    def test_field_order(self):
+        assert CallRecord._fields == ("rank", "func", "peer", "nbytes", "buf_addr",
+                                      "t_start", "t_end", "blocking", "collective",
+                                      "intra")
+        assert TransferRecord._fields == ("rank", "peer", "nbytes", "intra",
+                                          "in_collective", "time")
+
+
+#: profile_dict of small recorded InfiniBand runs, computed when the
+#: records were still frozen dataclasses; floats compare exactly
+PINNED_PROFILES = [
+    (("is", "S", 4, 1, None), {
+        "message_sizes": {"<2K": 4, "2K-16K": 4, "16K-1M": 4, ">1M": 0},
+        "wire_transfers": {"<2K": 72, "2K-16K": 72, "16K-1M": 0, ">1M": 0},
+        "nonblocking": {"isend": {"calls": 0, "avg_size": 0.0},
+                        "irecv": {"calls": 0, "avg_size": 0.0}},
+        "buffer_reuse": {"reuse_pct": 66.66666666666667,
+                         "weighted_reuse_pct": 11.188204683434519, "calls": 48},
+        "collectives": {"calls": 15, "pct_calls": 100.0, "pct_volume": 100.0,
+                        "by_name": {"allreduce": 4, "alltoall": 4,
+                                    "alltoallv": 4, "barrier": 3}},
+        "intranode": {"calls": 0, "pct_calls": 0.0, "pct_volume": 0.0},
+    }),
+    (("cg", "S", 4, 1, None), {
+        "message_sizes": {"<2K": 68, "2K-16K": 48, "16K-1M": 0, ">1M": 0},
+        "wire_transfers": {"<2K": 296, "2K-16K": 192, "16K-1M": 0, ">1M": 0},
+        "nonblocking": {"isend": {"calls": 0, "avg_size": 0.0},
+                        "irecv": {"calls": 0, "avg_size": 0.0}},
+        "buffer_reuse": {"reuse_pct": 100.0, "weighted_reuse_pct": 100.0,
+                         "calls": 464},
+        "collectives": {"calls": 3, "pct_calls": 2.5210084033613445,
+                        "pct_volume": 0.0022275849266753297,
+                        "by_name": {"barrier": 3}},
+        "intranode": {"calls": 0, "pct_calls": 0.0, "pct_volume": 0.0},
+    }),
+    # two ranks per node and a sampled run: covers Isend/Irecv, the
+    # intra-node split and the steady-state reuse window
+    (("sp", "S", 4, 2, 2), {
+        "message_sizes": {"<2K": 0, "2K-16K": 36, "16K-1M": 0, ">1M": 0},
+        "wire_transfers": {"<2K": 72, "2K-16K": 144, "16K-1M": 0, ">1M": 0},
+        "nonblocking": {"isend": {"calls": 36, "avg_size": 6448.0},
+                        "irecv": {"calls": 36, "avg_size": 6448.0}},
+        "buffer_reuse": {"reuse_pct": 100.0, "weighted_reuse_pct": 100.0,
+                         "calls": 288},
+        "collectives": {"calls": 9, "pct_calls": 11.11111111111111,
+                        "pct_volume": 0.007753741180119408,
+                        "by_name": {"barrier": 9}},
+        "intranode": {"calls": 12, "pct_calls": 33.333333333333336,
+                      "pct_volume": 33.333333333333336},
+    }),
+]
+
+
+@pytest.mark.parametrize("run,expected", PINNED_PROFILES,
+                         ids=[f"{r[0]}.{r[1]}-ppn{r[3]}" for r, _ in PINNED_PROFILES])
+def test_profile_dict_pinned(run, expected):
+    app, klass, nprocs, ppn, sample_iters = run
+    res = run_app(app, klass, "infiniband", nprocs, ppn=ppn,
+                  sample_iters=sample_iters)
+    assert profile_dict(res.recorder) == expected
 
 
 class TestStats:
