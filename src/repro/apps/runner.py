@@ -122,16 +122,31 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
     }
 
 
-def app_result_from_payload(payload: dict) -> AppResult:
-    """Rehydrate an :class:`AppResult` (incl. Recorder) from a payload."""
-    rec = payload["recorder"]
+def _decode_recorder(payload: dict) -> Recorder:
+    return Recorder.from_dict(payload["recorder"])
+
+
+def app_result_from_payload(payload: dict,
+                            spec: Optional[RunSpec] = None) -> AppResult:
+    """Rehydrate an :class:`AppResult` (incl. Recorder) from a payload.
+
+    Given the payload's ``spec`` and an active result cache, the Recorder
+    is decoded once per runtime (:meth:`ResultCache.decoded`) and shared
+    read-only by every caller; each call still builds its own AppResult.
+    """
+    from repro import runtime
+
+    recorder = None
+    if payload["recorder"] is not None:
+        cache = runtime.get_cache() if spec is not None else None
+        recorder = (cache.decoded(spec, payload, _decode_recorder)
+                    if cache is not None else _decode_recorder(payload))
     return AppResult(
         app=payload["app"], klass=payload["klass"], network=payload["network"],
         nprocs=payload["nprocs"], ppn=payload["ppn"],
         elapsed_s=payload["elapsed_s"], sim_iters=payload["sim_iters"],
         total_iters=payload["total_iters"], verified=payload["verified"],
-        recorder=Recorder.from_dict(rec) if rec is not None else None,
-        metrics=payload.get("metrics"),
+        recorder=recorder, metrics=payload.get("metrics"),
     )
 
 

@@ -2,8 +2,11 @@
 
 Like the figure drivers, every table declares its application runs as
 :class:`~repro.runtime.spec.RunSpec` sweeps.  Tables 1 and 3-5 profile
-the *same* InfiniBand runs, so after the first table the remaining ones
-are served entirely from the result cache.
+the *same* InfiniBand runs: after the first table the remaining ones
+simulate nothing, their payloads come from the result cache, and each
+payload's Recorder is decoded once per runtime and shared read-only
+(:meth:`~repro.runtime.cache.ResultCache.decoded`), so the later tables
+only pay for their statistics.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ def _profile_runs(quick: bool, specs=APP_SPECS, ppn: int = 1):
     plan = [RunSpec.app(app, klass, "infiniband", np_, ppn=ppn, record=True,
                         sample_iters=2 if quick else None)
             for app, klass, np_ in specs]
-    return [app_result_from_payload(p) for p in run_specs(plan)]
+    return [app_result_from_payload(payload, spec)
+            for spec, payload in zip(plan, run_specs(plan))]
 
 
 def table1(quick: bool = True) -> TableResult:

@@ -242,16 +242,43 @@ class PipelinePath:
 
     def _walk_range_traced(self, s_from: int, s_to: int, entries: List[list],
                            local_stage: Optional[int], tracer) -> float:
-        """:meth:`walk_range` plus one ``hw`` span per (chunk, stage)."""
+        """:meth:`walk_range` plus one ``hw`` span per (chunk, stage).
+
+        Uses the hot walk's flattened constants and arithmetic (``csize *
+        inv_bw``, not :meth:`Stage.serve`'s ``nbytes / bw``), so turning
+        tracing on cannot move a result by even one ulp.
+        """
         local_max = 0.0
         stages = self.stages
         for entry in entries:
             head, tail, csize, first = entry
-            for s in range(s_from, s_to):
-                stage = stages[s]
+            s = s_from
+            for srv, ov, extra, lat, cut, trail, inv_bw in self._flat[s_from:s_to]:
                 head_in, tail_in = head, tail
-                head, tail = stage.serve(head, tail, csize, first)
-                sname = stage.name or f"s{s}"
+                if srv is None:
+                    head += lat
+                    tail += lat
+                else:
+                    if first:
+                        ov += extra
+                    ser = csize * inv_bw
+                    nf = srv.next_free
+                    if cut:
+                        start = head if head > nf else nf
+                        occupied = start + ov + ser
+                        t2 = tail + ov
+                        head = start + ov + lat
+                        tail = (occupied if occupied > t2 else t2) + lat
+                    else:  # store-and-forward: wait for the full chunk
+                        start = tail if tail > nf else nf
+                        occupied = start + ov + ser
+                        head = start + ov + lat
+                        tail = occupied + lat
+                    srv.next_free = occupied + trail
+                    srv.busy_time += ov + ser + trail
+                    srv.transfers += 1
+                    srv.bytes_moved += csize
+                sname = stages[s].name or f"s{s}"
                 tracer.emit(
                     head_in, "hw", f"{self.name}:{s}:{sname}",
                     f"{sname} {int(csize)}B", kind="X",
@@ -260,8 +287,9 @@ class PipelinePath:
                           "head_in": head_in, "tail_in": tail_in,
                           "head_out": head, "tail_out": tail, "nbytes": csize},
                 )
-                if local_stage is not None and s == local_stage and tail > local_max:
+                if s == local_stage and tail > local_max:
                     local_max = tail
+                s += 1
             entry[0] = head
             entry[1] = tail
         return local_max

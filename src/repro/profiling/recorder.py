@@ -17,6 +17,12 @@ reflect the full run.
 Both record types are ``NamedTuple``s whose field order *is* the row
 format of the cached payload, so :meth:`Recorder.to_dict` and
 :meth:`Recorder.from_dict` convert whole streams in bulk.
+
+A Recorder rehydrated from a cached payload may be shared: the profiling
+tables decode each payload once per runtime and hand the same Recorder
+to every table (``ResultCache.decoded``).  Such a Recorder is
+**read-only** — only the live world that fills it may record into it,
+clear it or set ``scale``/``sample_iters``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,11 @@ class TransferRecord(NamedTuple):
 
 
 class Recorder:
-    """Collects call/transfer records from every rank of a world."""
+    """Collects call/transfer records from every rank of a world.
+
+    Once decoded from a cached payload it is read-only by contract (it
+    may be shared by several tables; see the module docstring).
+    """
 
     def __init__(self) -> None:
         self.calls: List[CallRecord] = []

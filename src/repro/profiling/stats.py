@@ -4,6 +4,10 @@ All functions take a :class:`~repro.profiling.recorder.Recorder` and
 return plain dicts ready for rendering by :mod:`repro.profiling.report`.
 Counts honour ``recorder.scale`` so sampled application runs can be
 extrapolated to full-length executions.
+
+Every function here only *reads* the Recorder: the profiling tables
+share one decoded Recorder per cached run, so a statistic that mutated
+it would change every table rendered after it.
 """
 
 from __future__ import annotations

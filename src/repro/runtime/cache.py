@@ -5,7 +5,10 @@ the spec's content digest plus a *code-version salt*, so a recalibrated
 model never serves stale numbers.  Tiers:
 
 - **in-memory** — always on; this is what deduplicates the repeated
-  class-B NAS runs across figure and table drivers in one process;
+  class-B NAS runs across figure and table drivers in one process.
+  Beside it sits a decode memo (:meth:`ResultCache.decoded`) so the
+  profiling tables rehydrate each app payload's Recorder once, not once
+  per table;
 - **shared** — optional, pluggable (:data:`BACKENDS`), surviving across
   processes and CLI invocations:
 
@@ -33,7 +36,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, Callable, List, Optional, Union
 
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
@@ -251,6 +254,8 @@ class ResultCache:
                  **backend_options) -> None:
         self.salt = salt if salt is not None else code_salt()
         self._mem: dict = {}
+        #: digest -> decoded form of that payload (see decoded())
+        self._decoded: dict = {}
         self.stats = CacheStats()
         self._backend = None
         self._backend_kind: Optional[str] = None
@@ -359,6 +364,24 @@ class ResultCache:
             return None
         return self._backend.get(spec.digest)
 
+    def decoded(self, spec: RunSpec, payload: dict,
+                decode: Callable[[dict], Any]) -> Any:
+        """``decode(payload)`` for ``spec``, computed once per cache.
+
+        The memo sits beside the in-memory tier, keyed by ``spec.digest``
+        with one decoded form per payload (an app payload's profiling
+        Recorder), and is dropped with that tier: :meth:`clear`,
+        :meth:`close`, and a fresh runtime all start empty.  A digest's
+        payload never changes, so neither does its decoded form.  Every
+        caller gets the *same* object, so it is read-only by contract.
+        Nothing is written to the shared tier.
+        """
+        digest = spec.digest
+        obj = self._decoded.get(digest)
+        if obj is None:
+            obj = self._decoded[digest] = decode(payload)
+        return obj
+
     def store(self, spec: RunSpec, payload: dict) -> None:
         digest = spec.digest
         self._mem[digest] = payload
@@ -380,13 +403,17 @@ class ResultCache:
         return len(self._mem)
 
     def clear(self, stats: bool = True) -> None:
-        """Drop in-memory entries (the shared tier is left alone)."""
+        """Drop in-memory entries and decoded forms (the shared tier is
+        left alone)."""
         self._mem.clear()
+        self._decoded.clear()
         if stats:
             self.stats.reset()
 
     def close(self) -> None:
-        """Release backend resources (db connections); memory tier stays."""
+        """Release backend resources (db connections) and decoded forms;
+        the memory tier stays."""
+        self._decoded.clear()
         self._close_backend()
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -129,3 +129,28 @@ class TestThroughput:
         expected = path.zero_load_latency(40_000)
         _, got = path.schedule(40_000, start=0.0)
         assert got == pytest.approx(expected)
+
+
+def _untimed(payload):
+    """A payload minus its host wall-clock counters (not results)."""
+    metrics = dict(payload["metrics"])
+    metrics["counters"] = {k: v for k, v in metrics["counters"].items()
+                           if not k.endswith("wall_s")}
+    return dict(payload, metrics=metrics)
+
+
+@pytest.mark.parametrize("network", ["infiniband", "myrinet", "quadrics"])
+def test_hw_tracing_does_not_change_results(network):
+    """Tracing is off the result path: the traced walk must reproduce the
+    hot walk's arithmetic to the last ulp (Myrinet's IS.S once differed)."""
+    from repro.apps.runner import simulate_app_spec
+    from repro.core.tracing import Tracer
+    from repro.runtime import RunSpec
+
+    spec = RunSpec.app("is", "S", network, 4, record=True)
+    plain = simulate_app_spec(spec)
+    tracer = Tracer().enable(["hw"])
+    traced = simulate_app_spec(spec, tracer=tracer)
+    assert any(r.category == "hw" for r in tracer.records)
+    assert traced["recorder"] == plain["recorder"]
+    assert _untimed(traced) == _untimed(plain)

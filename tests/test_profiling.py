@@ -222,6 +222,47 @@ class TestStats:
         assert hist["<2K"] == 10
 
 
+class TestReadOnlyContract:
+    """Decoded Recorders are shared, so no statistic may mutate one."""
+
+    @pytest.fixture(scope="class", params=[("is", 1, None), ("sp", 2, 2)],
+                    ids=["is", "sp-ppn2-sampled"])
+    def recorder(self, request):
+        app, ppn, sample_iters = request.param
+        return run_app(app, "S", "infiniband", 4, ppn=ppn,
+                       sample_iters=sample_iters).recorder
+
+    @pytest.mark.parametrize("stat", [
+        message_size_histogram, transfer_size_histogram, nonblocking_stats,
+        buffer_reuse_rate, collective_stats, intranode_stats,
+    ], ids=lambda f: f.__name__)
+    def test_stats_leave_recorder_unchanged(self, recorder, stat):
+        before = recorder.to_dict()
+        stat(recorder)
+        assert recorder.to_dict() == before
+
+    def test_each_call_gets_its_own_app_result(self):
+        from repro import runtime
+        from repro.experiments.tables import _profile_runs
+
+        runtime.reset()
+        specs = [("is", "S", 4), ("cg", "S", 4)]
+        first = _profile_runs(True, specs=specs)
+        again = _profile_runs(True, specs=specs)
+        for a, b in zip(first, again):
+            assert a is not b
+            assert a.recorder is b.recorder  # decoded once, shared
+        assert run_app("is", "S", "infiniband", 4) is not \
+            run_app("is", "S", "infiniband", 4)
+        runtime.configure(enabled=False)
+        try:
+            plain = _profile_runs(True, specs=specs[:1])[0]
+            assert plain.recorder is not first[0].recorder
+            assert plain.recorder.to_dict() == first[0].recorder.to_dict()
+        finally:
+            runtime.reset()
+
+
 class TestPaperProfiles:
     """The profile shapes the paper reports for specific applications."""
 

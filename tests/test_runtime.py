@@ -15,6 +15,7 @@ The properties locked down here are what the whole layer rests on:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,27 @@ class TestResultCache:
         assert cache.lookup(spec) == {"v": 1}  # re-read from disk
         assert cache.stats.disk_hits == 1
 
+    def test_decoded_once_until_the_memory_tier_goes(self, tmp_path):
+        spec = tiny_bench_spec()
+        cache = ResultCache(disk_dir=tmp_path)
+        cache.store(spec, {"v": 1})
+        calls = []
+
+        def decode(payload):
+            calls.append(payload)
+            return object()
+
+        first = cache.decoded(spec, cache.lookup(spec), decode)
+        assert cache.decoded(spec, cache.lookup(spec), decode) is first
+        assert len(calls) == 1
+        for drop in (cache.clear, cache.close):
+            drop()
+            assert cache.lookup(spec) == {"v": 1}  # payload still served
+            again = cache.decoded(spec, {"v": 1}, decode)
+            assert again is not first
+            first = again
+        assert len(calls) == 3
+
 
 # ----------------------------------------------------------------------
 # SweepExecutor
@@ -287,3 +309,65 @@ class TestRuntimeIntegration:
         series = runtime.run_spec(tiny_bench_spec())
         assert series["bench"] == "latency"
         assert runtime.cache_stats().lookups == 0
+
+
+# ----------------------------------------------------------------------
+# Decode-once profiling tables
+# ----------------------------------------------------------------------
+#: sha256 of each quick table's rendered text, taken before the tables
+#: shared decoded Recorders
+PROFILING_TABLE_SHA256 = {
+    "table1": "1696af8294132bb318feec48438f6018c05de2d1ff7ea8b757ea0d8441fbcde2",
+    "table3": "c06331e8a6efc98fc16284f7ef66e74b647fef3de5ba5c0f8623c1fcfb0a0900",
+    "table4": "7aadab7d6038d23377f4814d5549dd4c681c662c7016d5e7088252c4c794e62e",
+    "table5": "086d0705c4440c8e404676102d0396407658fa40d8938fbb547924a95cd247bc",
+}
+
+
+class TestDecodeOnce:
+    """Tables 1/3/4/5 profile the same nine runs: one decode each."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self, tmp_path_factory):
+        disk = tmp_path_factory.mktemp("profiling-tables")
+        runtime.reset(disk_dir=disk)
+        self._render()
+        runtime.reset()
+        return disk
+
+    @staticmethod
+    def _render():
+        from repro.experiments import run_table
+
+        return {t: hashlib.sha256(run_table(t, quick=True).render().encode())
+                .hexdigest() for t in PROFILING_TABLE_SHA256}
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        from repro.profiling.recorder import Recorder
+
+        count = [0]
+        from_dict = Recorder.__dict__["from_dict"].__func__
+
+        def counting(cls, data):
+            count[0] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(Recorder, "from_dict", classmethod(counting))
+        return count
+
+    def test_one_decode_per_spec(self, seeded, decodes):
+        from repro.experiments.tables import APP_SPECS
+
+        runtime.reset(disk_dir=seeded)
+        assert self._render() == PROFILING_TABLE_SHA256
+        assert decodes[0] == len(APP_SPECS) == 9
+        assert runtime.cache_stats().misses == 0
+
+    def test_memo_lives_as_long_as_the_runtime(self, seeded, decodes):
+        runtime.reset(disk_dir=seeded)
+        self._render()
+        runtime.reset(disk_dir=seeded)
+        assert self._render() == PROFILING_TABLE_SHA256
+        assert decodes[0] == 18
+        assert runtime.cache_stats().misses == 0
