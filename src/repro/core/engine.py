@@ -27,10 +27,17 @@ Hot-path design (see DESIGN.md §9):
 * Events store their first callback in a dedicated slot (``_cb1``) and
   only allocate a list for the second and later — the overwhelmingly
   common case is exactly one waiter.
+* CPython's cyclic collector is **paused** while the loop runs.  A run
+  allocates hundreds of thousands of objects (events, requests, chunk
+  states) that either live to the end or die by reference counting, so
+  the collector's generational sweeps walk a growing heap and never
+  find garbage.  ``run`` restores the caller's setting on exit and
+  never turns on a collector the caller had turned off.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from heapq import heappop, heappush
@@ -390,6 +397,9 @@ class Simulator:
         if until_event is not None:
             stop = []
             until_event.add_callback(stop.append)
+        gc_was_on = gc.isenabled()
+        if gc_was_on:
+            gc.disable()
         try:
             while True:
                 if stop is not None:
@@ -462,6 +472,8 @@ class Simulator:
                 self.now = until
             return None
         finally:
+            if gc_was_on:
+                gc.enable()
             self._nprocessed = n
             self._running = False
             # anything fast-pathed into the ready deques but unfired

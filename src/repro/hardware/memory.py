@@ -23,8 +23,7 @@ paper's modified MPICH logging did.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,9 +66,7 @@ class Buffer:
 
     def pages(self) -> range:
         """Page numbers spanned by this buffer."""
-        first = self.addr // PAGE_SIZE
-        last = (self.addr + max(self.nbytes, 1) - 1) // PAGE_SIZE
-        return range(first, last + 1)
+        return range(*_page_span(self))
 
     @property
     def npages(self) -> int:
@@ -148,6 +145,107 @@ class AddressSpace:
         self.allocated_bytes -= size
 
 
+class _PageRuns:
+    """An LRU-ordered page set stored as runs of consecutive pages.
+
+    Both caches below touch whole buffers: every page of a buffer moves
+    to the most-recently-used end in ascending address order.  The page
+    order is therefore the concatenation of ``runs`` — ``(start, end)``
+    page ranges, least recently used first — and a lookup costs
+    O(runs) instead of one dict move per page.  It reproduces exactly
+    the order a per-page ``OrderedDict`` walk produces: the touched
+    range leaves every run it overlaps (the run's remaining pieces keep
+    its place) and is appended at the end, merged with the last run
+    when the addresses continue it.
+    """
+
+    __slots__ = ("runs", "npages")
+
+    def __init__(self) -> None:
+        self.runs: List[Tuple[int, int]] = []
+        self.npages = 0
+
+    def touch(self, first: int, end: int) -> int:
+        """Move pages ``[first, end)`` to the MRU end; return how many
+        of them were not in the set before."""
+        runs = self.runs
+        if runs:
+            s, e = runs[-1]
+            if e == end and s <= first:
+                return 0  # already the MRU suffix, in order
+        # cut the range out of every run it overlaps, newest first; the
+        # runs are disjoint, so the scan ends once all of it is found
+        want = end - first
+        present = 0
+        for i in range(len(runs) - 1, -1, -1):
+            s, e = runs[i]
+            if s >= end or e <= first:
+                continue
+            if s < first:
+                if end < e:  # the run holds the whole range
+                    runs[i:i + 1] = ((s, first), (end, e))
+                    present = want
+                    break
+                runs[i] = (s, first)
+                present += e - first
+            elif end < e:
+                runs[i] = (end, e)
+                present += end - s
+            else:
+                del runs[i]
+                present += e - s
+            if present == want:
+                break
+        if runs and runs[-1][1] == first:
+            runs[-1] = (runs[-1][0], end)
+        else:
+            runs.append((first, end))
+        missing = want - present
+        self.npages += missing
+        return missing
+
+    def evict(self, keep: int) -> int:
+        """Drop least recently used pages until at most ``keep`` remain;
+        return how many were dropped."""
+        over = self.npages - keep
+        if over <= 0:
+            return 0
+        runs = self.runs
+        k = over
+        i = 0
+        while k:
+            s, e = runs[i]
+            if e - s <= k:
+                k -= e - s
+                i += 1
+            else:
+                runs[i] = (s + k, e)
+                k = 0
+        del runs[:i]
+        self.npages = keep
+        return over
+
+    def count(self, first: int, end: int) -> int:
+        """How many pages of ``[first, end)`` are in the set."""
+        n = 0
+        for s, e in self.runs:
+            if s < end and first < e:
+                n += (e if e < end else end) - (s if s > first else first)
+        return n
+
+    def clear(self) -> None:
+        self.runs.clear()
+        self.npages = 0
+
+
+def _page_span(buf: Buffer) -> Tuple[int, int]:
+    """``[first, end)`` page range of ``buf`` (a zero-byte buffer still
+    spans the page it points into)."""
+    addr = buf.addr
+    return (addr // PAGE_SIZE,
+            (addr + max(buf.nbytes, 1) - 1) // PAGE_SIZE + 1)
+
+
 class PinDownCache:
     """LRU pin-down cache for registered memory (VAPI / GM style).
 
@@ -170,45 +268,37 @@ class PinDownCache:
         self.register_page_us = register_page_us
         self.deregister_page_us = deregister_page_us
         self.hit_us = hit_us
-        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        self._pages = _PageRuns()
         self.hits = 0
         self.misses = 0
         self.evicted_pages = 0
 
     @property
     def pinned_bytes(self) -> int:
-        return len(self._pages) * PAGE_SIZE
+        return self._pages.npages * PAGE_SIZE
 
     def lookup(self, buf: Buffer) -> float:
         """Cost (µs) to ensure ``buf`` is registered; updates the cache."""
-        pages = self._pages
-        move_to_end = pages.move_to_end
-        missing = 0
-        addr = buf.addr
-        first = addr // PAGE_SIZE
-        last = (addr + max(buf.nbytes, 1) - 1) // PAGE_SIZE
-        for page in range(first, last + 1):
-            if page in pages:
-                move_to_end(page)
-            else:
-                missing += 1
-                pages[page] = None
-        cost = 0.0
+        missing = self._pages.touch(*_page_span(buf))
         if missing:
             self.misses += 1
-            cost += self.register_base_us + missing * self.register_page_us
+            cost = self.register_base_us + missing * self.register_page_us
         else:
             self.hits += 1
-            cost += self.hit_us
-        # Lazy de-registration of LRU pages beyond capacity.
-        while len(pages) * PAGE_SIZE > self.capacity_bytes:
-            pages.popitem(last=False)
-            self.evicted_pages += 1
-            cost += self.deregister_page_us
+            cost = self.hit_us
+        # Lazy de-registration of LRU pages beyond capacity, charged one
+        # page at a time (the float sum must not change with batching).
+        evicted = self._pages.evict(self.capacity_bytes // PAGE_SIZE)
+        if evicted:
+            self.evicted_pages += evicted
+            dereg = self.deregister_page_us
+            for _ in range(evicted):
+                cost += dereg
         return cost
 
     def contains(self, buf: Buffer) -> bool:
-        return all(p in self._pages for p in buf.pages())
+        first, end = _page_span(buf)
+        return self._pages.count(first, end) == end - first
 
     def clear(self) -> None:
         self._pages.clear()
@@ -233,7 +323,7 @@ class NicTlb:
         self.bulk_threshold_pages = bulk_threshold_pages
         self.bulk_page_us = bulk_page_us
         self.hit_us = hit_us
-        self._tlb: "OrderedDict[int, None]" = OrderedDict()
+        self._tlb = _PageRuns()
         self.hits = 0
         self.misses = 0
 
@@ -242,21 +332,8 @@ class NicTlb:
         switching to a batched fill rate (one trap maps the whole run of
         pages) — so message-sized buffers pay dearly (Figs. 7-8) while
         gigantic working sets stay affordable."""
-        tlb = self._tlb
-        move_to_end = tlb.move_to_end
-        missing = 0
-        addr = buf.addr
-        first = addr // PAGE_SIZE
-        last = (addr + max(buf.nbytes, 1) - 1) // PAGE_SIZE
-        for page in range(first, last + 1):
-            if page in tlb:
-                move_to_end(page)
-            else:
-                missing += 1
-                tlb[page] = None
-        entries = self.entries
-        while len(tlb) > entries:
-            tlb.popitem(last=False)
+        missing = self._tlb.touch(*_page_span(buf))
+        self._tlb.evict(self.entries)
         if missing:
             self.misses += 1
             capped = min(missing, self.bulk_threshold_pages)

@@ -27,12 +27,12 @@ counts quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import Event, Simulator
 from repro.core.resources import FifoServer
 
-__all__ = ["Stage", "PipelinePath", "chunk_sizes"]
+__all__ = ["Stage", "PathSegment", "PipelinePath", "chunk_sizes"]
 
 #: Default pipelining granularity (bytes): contention between messages
 #: interleaves at this grain.
@@ -105,6 +105,40 @@ class Stage:
         return head_out + self.latency_us, tail_out + self.latency_us
 
 
+def _flatten(stage: Stage) -> tuple:
+    """The constants the hot walk reads for one stage.
+
+    Stages are fixed once built, and FifoServer.bw/.overhead are only
+    ever written in __init__, so the effective overhead and the
+    reciprocal bandwidth can be resolved once; only server.next_free
+    and the stats mutate at run time, and those are reached through
+    the server reference.
+    """
+    srv = stage.server
+    if srv is None:
+        return (None, 0.0, 0.0, stage.latency_us, stage.cut_through,
+                stage.trailing_us, 0.0)
+    ov = srv.overhead if stage.overhead_us is None else stage.overhead_us
+    return (srv, ov, stage.first_chunk_extra_us, stage.latency_us,
+            stage.cut_through, stage.trailing_us, 1.0 / srv.bw)
+
+
+class PathSegment:
+    """A fixed run of stages shared by many paths, flattened once.
+
+    A fabric builds each node's source-side and destination-side stages
+    as one segment apiece, so a routed pair's path only adds its own
+    switch hops.  Paths share the Stage objects, which are never
+    mutated after construction.
+    """
+
+    __slots__ = ("stages", "flat")
+
+    def __init__(self, stages: Sequence[Stage]) -> None:
+        self.stages = tuple(stages)
+        self.flat = tuple(_flatten(s) for s in self.stages)
+
+
 class PipelinePath:
     """An ordered sequence of stages a message flows through.
 
@@ -116,36 +150,32 @@ class PipelinePath:
     capacity on destination-side resources and spuriously serialize
     against cross-traffic (a FIFO server's scalar ``next_free`` cannot
     represent the idle gap before a future reservation).
+
+    ``stages`` may mix single stages with :class:`PathSegment` objects,
+    whose stages are spliced in place.
     """
 
-    def __init__(self, sim: Simulator, stages: Sequence[Stage], chunk_bytes: int = DEFAULT_CHUNK,
-                 name: str = "path", split_stage: Optional[int] = None) -> None:
-        if not stages:
-            raise ValueError("path needs at least one stage")
+    def __init__(self, sim: Simulator, stages: Sequence[Union[Stage, PathSegment]],
+                 chunk_bytes: int = DEFAULT_CHUNK, name: str = "path",
+                 split_stage: Optional[int] = None) -> None:
         self.sim = sim
-        self.stages = list(stages)
+        self.stages: List[Stage] = []
+        #: flattened per-stage constants for the hot walk (see _flatten)
+        self._flat: List[tuple] = []
+        for part in stages:
+            if isinstance(part, PathSegment):
+                self.stages += part.stages
+                self._flat += part.flat
+            else:
+                self.stages.append(part)
+                self._flat.append(_flatten(part))
+        if not self.stages:
+            raise ValueError("path needs at least one stage")
         self.chunk_bytes = chunk_bytes
         self.name = name
         self.split_stage = split_stage
         self.messages = 0
         self.bytes_moved = 0
-        # flattened per-stage constants for the hot walk (stages are
-        # fixed at construction, and FifoServer.bw/.overhead are only
-        # ever written in __init__, so the effective overhead and the
-        # reciprocal bandwidth can be resolved once here; only
-        # server.next_free and the stats mutate at run time, and those
-        # are reached through the server reference)
-        self._flat = []
-        for s in self.stages:
-            srv = s.server
-            if srv is None:
-                self._flat.append((None, 0.0, 0.0, s.latency_us,
-                                   s.cut_through, s.trailing_us, 0.0))
-            else:
-                ov = srv.overhead if s.overhead_us is None else s.overhead_us
-                self._flat.append((srv, ov, s.first_chunk_extra_us,
-                                   s.latency_us, s.cut_through,
-                                   s.trailing_us, 1.0 / srv.bw))
         #: memoized _flat sub-slices — the destination-phase walk asks
         #: for the same (s_from, s_to) span once per chunk
         self._spans: dict = {}

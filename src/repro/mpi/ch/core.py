@@ -396,9 +396,14 @@ class Ch3Device(MpiDevice):
             yield self.cpu.comm(self.channel.O_COMPLETE * max(1, len(reqs)))
             return
         pending = [r for r in reqs if not r.completed]
+        # completion never reverts, so a forward index over ``pending``
+        # checks each request once instead of rescanning on every wake-up
+        i, n = 0, len(pending)
         while True:
             yield from self._drain()
-            if all(r.completed for r in pending):
+            while i < n and pending[i].completed:
+                i += 1
+            if i == n:
                 return
             # Sleep until the NIC flags new arrivals.  Registration
             # happens in the same instant as the emptiness check above,

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.engine import Event, Simulator
 from repro.core.resources import Gate, Store
 from repro.hardware.cluster import Cluster
-from repro.hardware.path import PipelinePath, chunk_sizes
+from repro.hardware.path import PathSegment, PipelinePath, chunk_sizes
 
 __all__ = ["Packet", "NetPort", "Fabric"]
 
@@ -123,6 +123,7 @@ class Fabric:
         self.topology = None
         self.ports: Dict[int, NetPort] = {}
         self._paths: Dict[Tuple[int, int], PipelinePath] = {}
+        self._segments: Dict[tuple, PathSegment] = {}
         self._injectors: Dict[int, "_Injector"] = {}
         self._pkt_seq = 0
         self._local_done_name = self.kind + ".local_done"
@@ -210,6 +211,19 @@ class Fabric:
 
     def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
         raise NotImplementedError
+
+    def _segment(self, build, node: int, *args) -> PathSegment:
+        """``build(node, *args)``'s stages as a segment, built once.
+
+        Fabrics keep the stages one node contributes to every path it
+        starts or ends here, so building a routed pair's path costs
+        only its switch hops.
+        """
+        key = (build.__name__, node, *args)
+        seg = self._segments.get(key)
+        if seg is None:
+            seg = self._segments[key] = PathSegment(build(node, *args))
+        return seg
 
     def _build_loopback_path(self, node: int) -> PipelinePath:
         raise NotImplementedError

@@ -100,24 +100,35 @@ class InfiniBandFabric(Fabric):
     # (stage 2).
     local_stage_index = 2
 
-    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
+    def _src_stages(self, node: int) -> list:
         p = self.params
-        src_bus = self.cluster.node(src_node).bus(p.bus_kind)
-        dst_bus = self.cluster.node(dst_node).bus(p.bus_kind)
-        src_hca = self.hca(src_node)
-        dst_hca = self.hca(dst_node)
-        stages = [
-            Stage(src_bus.server, overhead_us=src_bus.burst_overhead_us,
-                  first_chunk_extra_us=src_bus.dma_setup_us, name="src_bus"),
-            Stage(src_hca.mproc, first_chunk_extra_us=p.tx_proc_us,
+        bus = self.cluster.node(node).bus(p.bus_kind)
+        hca = self.hca(node)
+        return [
+            Stage(bus.server, overhead_us=bus.burst_overhead_us,
+                  first_chunk_extra_us=bus.dma_setup_us, name="src_bus"),
+            Stage(hca.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.cqe_gen_us, name="hca_proc_tx"),
-            Stage(src_hca.tx_engine, name="hca_tx"),
-            Stage(src_hca.uplink, latency_us=p.wire_latency_us, name="uplink"),
+            Stage(hca.tx_engine, name="hca_tx"),
+            Stage(hca.uplink, latency_us=p.wire_latency_us, name="uplink"),
+        ]
+
+    def _dst_stages(self, node: int) -> list:
+        p = self.params
+        bus = self.cluster.node(node).bus(p.bus_kind)
+        hca = self.hca(node)
+        return [
+            Stage(hca.mproc, first_chunk_extra_us=p.rx_proc_us, name="hca_proc_rx"),
+            Stage(hca.rx_engine, name="hca_rx"),
+            Stage(bus.server, overhead_us=bus.burst_overhead_us,
+                  first_chunk_extra_us=bus.dma_setup_us, name="dst_bus"),
+        ]
+
+    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
+        stages = [
+            self._segment(self._src_stages, src_node),
             *self.topology.switch_stages(src_node, dst_node),
-            Stage(dst_hca.mproc, first_chunk_extra_us=p.rx_proc_us, name="hca_proc_rx"),
-            Stage(dst_hca.rx_engine, name="hca_rx"),
-            Stage(dst_bus.server, overhead_us=dst_bus.burst_overhead_us,
-                  first_chunk_extra_us=dst_bus.dma_setup_us, name="dst_bus"),
+            self._segment(self._dst_stages, dst_node),
         ]
         return PipelinePath(self.sim, stages, name=f"ib.{src_node}->{dst_node}",
                             split_stage=3)  # after the uplink

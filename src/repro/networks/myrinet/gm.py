@@ -64,6 +64,8 @@ class GmPort:
         #: an arriving message to the oldest buffer of the message's
         #: size class (class = ceil(log2(size))).
         self._provided: Dict[int, Deque[Buffer]] = {}
+        #: buffers across all size classes, kept in step with _provided
+        self.provided_count = 0
         self._inflight_sends = 0
 
     # -- registration -------------------------------------------------------
@@ -85,10 +87,7 @@ class GmPort:
         if self.provided_count >= self.recv_tokens:
             raise GmTokenError(f"rank {self.rank}: out of GM receive tokens")
         self._provided.setdefault(self.size_class(buf.nbytes), deque()).append(buf)
-
-    @property
-    def provided_count(self) -> int:
-        return sum(len(q) for q in self._provided.values())
+        self.provided_count += 1
 
     # -- send side ------------------------------------------------------------
     def send_with_callback(self, dst_rank: int, buf: Buffer, tag: int = 0,
@@ -175,6 +174,7 @@ class GmPort:
                     "receive buffer of that class"
                 )
             buf = queue.popleft()
+            self.provided_count -= 1
             tracer = self.sim.tracer
             if tracer.enabled:
                 tracer.instant(self.sim.now, "proto", f"gm.port[{self.rank}]",

@@ -95,20 +95,17 @@ class MyrinetFabric(Fabric):
     # LANai firmware (RX work), SRAM pass(es), rx engine, dst bus.
     local_stage_index = 2
 
-    def _stages(self, src_node: int, dst_node: int, staged: bool) -> list:
+    def _src_stages(self, node: int, staged: bool) -> list:
         p = self.params
-        src_bus = self.cluster.node(src_node).bus(p.bus_kind)
-        dst_bus = self.cluster.node(dst_node).bus(p.bus_kind)
-        src_nic = self.nic(src_node)
-        dst_nic = self.nic(dst_node)
-        src_sram = self.srams[src_node]
-        dst_sram = self.srams[dst_node]
+        bus = self.cluster.node(node).bus(p.bus_kind)
+        nic = self.nic(node)
+        sram = self.srams[node]
         stages = [
-            Stage(src_bus.server, overhead_us=src_bus.burst_overhead_us,
-                  first_chunk_extra_us=src_bus.dma_setup_us, name="src_bus"),
-            Stage(src_nic.mproc, first_chunk_extra_us=p.tx_proc_us,
+            Stage(bus.server, overhead_us=bus.burst_overhead_us,
+                  first_chunk_extra_us=bus.dma_setup_us, name="src_bus"),
+            Stage(nic.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.send_done_proc_us, name="lanai_fw_tx"),
-            Stage(src_nic.tx_engine, name="lanai_tx"),
+            Stage(nic.tx_engine, name="lanai_tx"),
         ]
         if staged:
             # full store-and-forward: write into SRAM (occupies the
@@ -116,30 +113,41 @@ class MyrinetFabric(Fabric):
             # must wait for the tail) — doubled SRAM traffic is what
             # saturates the port under large bi-directional streams.
             stages += [
-                Stage(src_sram, name="src_sram_w"),
-                Stage(src_sram, cut_through=False, name="src_sram_r"),
+                Stage(sram, name="src_sram_w"),
+                Stage(sram, cut_through=False, name="src_sram_r"),
             ]
         else:
-            stages += [Stage(src_sram, name="src_sram")]
-        stages += [
-            Stage(src_nic.uplink, latency_us=p.wire_latency_us, name="uplink"),
-            *self.topology.switch_stages(src_node, dst_node),
-        ]
-        stages += [Stage(dst_nic.mproc, first_chunk_extra_us=p.rx_proc_us,
-                         name="lanai_fw_rx")]
+            stages += [Stage(sram, name="src_sram")]
+        stages += [Stage(nic.uplink, latency_us=p.wire_latency_us, name="uplink")]
+        return stages
+
+    def _dst_stages(self, node: int, staged: bool) -> list:
+        p = self.params
+        bus = self.cluster.node(node).bus(p.bus_kind)
+        nic = self.nic(node)
+        sram = self.srams[node]
+        stages = [Stage(nic.mproc, first_chunk_extra_us=p.rx_proc_us,
+                        name="lanai_fw_rx")]
         if staged:
             stages += [
-                Stage(dst_sram, name="dst_sram_w"),
-                Stage(dst_sram, cut_through=False, name="dst_sram_r"),
+                Stage(sram, name="dst_sram_w"),
+                Stage(sram, cut_through=False, name="dst_sram_r"),
             ]
         else:
-            stages += [Stage(dst_sram, name="dst_sram")]
+            stages += [Stage(sram, name="dst_sram")]
         stages += [
-            Stage(dst_nic.rx_engine, name="lanai_rx"),
-            Stage(dst_bus.server, overhead_us=dst_bus.burst_overhead_us,
-                  first_chunk_extra_us=dst_bus.dma_setup_us, name="dst_bus"),
+            Stage(nic.rx_engine, name="lanai_rx"),
+            Stage(bus.server, overhead_us=bus.burst_overhead_us,
+                  first_chunk_extra_us=bus.dma_setup_us, name="dst_bus"),
         ]
         return stages
+
+    def _stages(self, src_node: int, dst_node: int, staged: bool) -> list:
+        return [
+            self._segment(self._src_stages, src_node, staged),
+            *self.topology.switch_stages(src_node, dst_node),
+            self._segment(self._dst_stages, dst_node, staged),
+        ]
 
     def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
         return PipelinePath(self.sim, self._stages(src_node, dst_node, staged=False),

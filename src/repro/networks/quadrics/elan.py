@@ -106,22 +106,39 @@ class QuadricsFabric(Fabric):
         return Stage(bus.server, overhead_us=p.bus_burst_overhead_us,
                      first_chunk_extra_us=p.bus_dma_setup_us, name=name)
 
-    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
+    def _src_stages(self, node: int, dma: bool) -> list:
+        """Source side; without ``dma`` the bytes arrive by PIO, so the
+        bus DMA stage is left out."""
         p = self.params
-        src_nic = self.nic(src_node)
-        dst_nic = self.nic(dst_node)
-        stages = [
-            self._bus_stage(src_node, "src_bus"),
-            Stage(src_nic.mproc, first_chunk_extra_us=p.tx_proc_us,
+        nic = self.nic(node)
+        stages = [self._bus_stage(node, "src_bus")] if dma else []
+        stages += [
+            Stage(nic.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.tx_retire_us, name="elan_proc_tx"),
-            Stage(src_nic.tx_engine, name="elan_tx"),
-            Stage(src_nic.uplink, latency_us=p.wire_latency_us, name="uplink"),
-            *self.topology.switch_stages(src_node, dst_node),
-            Stage(dst_nic.mproc, first_chunk_extra_us=p.rx_proc_us, name="elan_proc_rx"),
-            Stage(dst_nic.rx_engine, name="elan_rx"),
-            self._bus_stage(dst_node, "dst_bus"),
+            Stage(nic.tx_engine, name="elan_tx"),
+            Stage(nic.uplink, latency_us=p.wire_latency_us, name="uplink"),
         ]
-        return PipelinePath(self.sim, stages, name=f"qsn.{src_node}->{dst_node}",
+        return stages
+
+    def _dst_stages(self, node: int) -> list:
+        p = self.params
+        nic = self.nic(node)
+        return [
+            Stage(nic.mproc, first_chunk_extra_us=p.rx_proc_us, name="elan_proc_rx"),
+            Stage(nic.rx_engine, name="elan_rx"),
+            self._bus_stage(node, "dst_bus"),
+        ]
+
+    def _stages(self, src_node: int, dst_node: int, dma: bool) -> list:
+        return [
+            self._segment(self._src_stages, src_node, dma),
+            *self.topology.switch_stages(src_node, dst_node),
+            self._segment(self._dst_stages, dst_node),
+        ]
+
+    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
+        return PipelinePath(self.sim, self._stages(src_node, dst_node, dma=True),
+                            name=f"qsn.{src_node}->{dst_node}",
                             split_stage=3)  # after the uplink
 
     def _inline_path(self, src_node: int, dst_node: int) -> PipelinePath:
@@ -132,24 +149,11 @@ class QuadricsFabric(Fabric):
         """
         key = (src_node, dst_node)
         path = self._inline_paths.get(key)
-        if path is not None:
-            return path
-        p = self.params
-        src_nic = self.nic(src_node)
-        dst_nic = self.nic(dst_node)
-        stages = [
-            Stage(src_nic.mproc, first_chunk_extra_us=p.tx_proc_us,
-                  trailing_us=p.tx_retire_us, name="elan_proc_tx"),
-            Stage(src_nic.tx_engine, name="elan_tx"),
-            Stage(src_nic.uplink, latency_us=p.wire_latency_us, name="uplink"),
-            *self.topology.switch_stages(src_node, dst_node),
-            Stage(dst_nic.mproc, first_chunk_extra_us=p.rx_proc_us, name="elan_proc_rx"),
-            Stage(dst_nic.rx_engine, name="elan_rx"),
-            self._bus_stage(dst_node, "dst_bus"),
-        ]
-        path = PipelinePath(self.sim, stages, name=f"qsn.pio.{src_node}->{dst_node}",
-                            split_stage=2)  # after the uplink
-        self._inline_paths[key] = path
+        if path is None:
+            path = PipelinePath(self.sim, self._stages(src_node, dst_node, dma=False),
+                                name=f"qsn.pio.{src_node}->{dst_node}",
+                                split_stage=2)  # after the uplink
+            self._inline_paths[key] = path
         return path
 
     def _build_loopback_path(self, node: int) -> PipelinePath:

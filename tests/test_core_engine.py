@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event kernel (events, processes, clock)."""
 
+import gc
+
 import pytest
 
-from repro.core.engine import SimulationError, Simulator, Timeout
+from repro.core.engine import SimulationError, Simulator, Timeout, set_wall_timeout
 from repro.core.process import Process, ProcessKilled
 
 
@@ -385,3 +387,108 @@ class TestFastEventCore:
         sim.spawn(trigger(ev))
         sim.run()
         assert order == [("woke", "done", 3.0), ("after-trigger", 3.0)]
+
+
+@pytest.fixture(params=[True, False], ids=["caller_on", "caller_off"])
+def caller_gc(request):
+    """Set the collector as the caller of ``run`` has it; restore after."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()
+
+
+class TestCollectorPause:
+    """``Simulator.run`` pauses the cyclic collector for its loop only."""
+
+    def test_paused_inside_and_restored_after(self, caller_gc):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc
+
+    def test_restored_after_deadlock(self, caller_gc):
+        sim = Simulator()
+
+        def stuck():
+            yield sim.event()  # never triggered
+
+        p = sim.spawn(stuck())
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(until_event=p)
+        assert gc.isenabled() is caller_gc
+
+    def test_restored_after_horizon(self, caller_gc):
+        sim = Simulator()
+
+        def slow():
+            yield sim.timeout(100)
+
+        p = sim.spawn(slow())
+        with pytest.raises(SimulationError, match="horizon"):
+            sim.run(until=10.0, until_event=p)
+        assert gc.isenabled() is caller_gc
+
+    def test_restored_after_wall_clock_timeout(self, caller_gc):
+        sim = Simulator()
+
+        def tick():
+            sim.schedule_at(1.0, tick)  # livelock: never drains
+
+        sim.schedule_at(1.0, tick)
+        set_wall_timeout(0.01)
+        try:
+            with pytest.raises(SimulationError, match="wall-clock timeout"):
+                sim.run()
+        finally:
+            set_wall_timeout(None)
+        assert gc.isenabled() is caller_gc
+
+    @staticmethod
+    def _assert_run_leaves_no_cycles(world, rank_fn):
+        """The invariant behind the pause: a run makes no cyclic garbage,
+        so the paused collector never has anything to free.  The caller
+        keeps the collector off too, so no automatic collection after
+        the loop can free a cycle before the count."""
+        was_on = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            world.run(rank_fn)
+            found = gc.collect()
+        finally:
+            if was_on:
+                gc.enable()
+        assert found == 0
+
+    def test_routed_alltoall_makes_no_cyclic_garbage(self):
+        from repro.mpi.world import MPIWorld
+
+        def rank_fn(comm):
+            sbuf = comm.alloc(1024 * comm.size)
+            rbuf = comm.alloc(1024 * comm.size)
+            for _ in range(2):
+                yield from comm.alltoall(sbuf, rbuf)
+
+        world = MPIWorld(16, network="myrinet", record=False,
+                         net_overrides={"topology": "clos"})
+        self._assert_run_leaves_no_cycles(world, rank_fn)
+
+    def test_nas_is_makes_no_cyclic_garbage(self):
+        from repro.apps.classes import get_problem
+        from repro.apps.nas import ISBench
+        from repro.mpi.world import MPIWorld
+
+        cfg = get_problem("is", "S")
+        benches = {r: ISBench(cfg, 4) for r in range(4)}
+
+        def rank_fn(comm):
+            bench = benches[comm.rank]
+            yield from bench.setup(comm)
+            for it in range(cfg.niters):
+                yield from bench.iteration(comm, it)
+            yield from bench.finalize(comm)
+
+        self._assert_run_leaves_no_cycles(MPIWorld(4, network="infiniband"), rank_fn)

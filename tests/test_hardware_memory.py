@@ -1,5 +1,7 @@
 """Tests for address spaces, buffers, pin-down cache and NIC TLB."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.hardware.memory import (
     PAGE_SIZE,
     AddressSpace,
+    Buffer,
     NicTlb,
     PinDownCache,
 )
@@ -192,3 +195,111 @@ class TestNicTlb:
         tlb.lookup(b)
         tlb.lookup(c)  # evicts a
         assert tlb.lookup(a) == pytest.approx(11.0)
+
+
+class _PageWalkReference:
+    """Both caches as one ``OrderedDict`` entry per page, walked page by
+    page: the model the run-based caches must reproduce exactly."""
+
+    def __init__(self):
+        self.pages = OrderedDict()
+        self.hits = self.misses = self.evicted_pages = 0
+
+    def touch(self, buf):
+        missing = 0
+        for page in buf.pages():
+            if page in self.pages:
+                self.pages.move_to_end(page)
+            else:
+                missing += 1
+                self.pages[page] = None
+        return missing
+
+    def pin_lookup(self, c, buf):
+        missing = self.touch(buf)
+        cost = 0.0
+        if missing:
+            self.misses += 1
+            cost += c.register_base_us + missing * c.register_page_us
+        else:
+            self.hits += 1
+            cost += c.hit_us
+        while len(self.pages) * PAGE_SIZE > c.capacity_bytes:
+            self.pages.popitem(last=False)
+            self.evicted_pages += 1
+            cost += c.deregister_page_us
+        return cost
+
+    def tlb_lookup(self, t, buf):
+        missing = self.touch(buf)
+        while len(self.pages) > t.entries:
+            self.pages.popitem(last=False)
+        if missing:
+            self.misses += 1
+            capped = min(missing, t.bulk_threshold_pages)
+            return (t.miss_base_us + capped * t.miss_page_us
+                    + (missing - capped) * t.bulk_page_us)
+        self.hits += 1
+        return t.hit_us
+
+
+def _page_order(runs):
+    return [p for s, e in runs.runs for p in range(s, e)]
+
+
+#: one step: ``None`` clears the cache, else (first page, byte offset
+#: into it, nbytes) — spans reach past the caches' 6-page capacity
+_STEPS = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.integers(0, 24), st.integers(0, PAGE_SIZE - 1),
+                        st.integers(0, 9 * PAGE_SIZE))),
+    min_size=1, max_size=80)
+
+
+class TestRunCachesMatchPageWalk:
+    """Randomized equivalence of the run-based LRU and a page walk:
+    overlapping, adjacent, repeated and over-capacity buffers, clear()."""
+
+    @staticmethod
+    def _buffers(steps):
+        space = AddressSpace(0)
+        return [None if step is None else
+                Buffer(step[0] * PAGE_SIZE + step[1], step[2], space)
+                for step in steps]
+
+    @given(steps=_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_pin_down_cache(self, steps):
+        cache = PinDownCache(capacity_bytes=6 * PAGE_SIZE + 100,
+                             register_base_us=20.0, register_page_us=5.3,
+                             deregister_page_us=0.7, hit_us=0.05)
+        ref = _PageWalkReference()
+        probes = [Buffer(p * PAGE_SIZE, PAGE_SIZE, None) for p in range(36)]
+        for buf in self._buffers(steps):
+            if buf is None:
+                cache.clear()
+                ref.pages.clear()
+                continue
+            assert cache.lookup(buf) == ref.pin_lookup(cache, buf)
+            assert (cache.hits, cache.misses, cache.evicted_pages) == \
+                (ref.hits, ref.misses, ref.evicted_pages)
+            assert cache.pinned_bytes == len(ref.pages) * PAGE_SIZE
+            assert _page_order(cache._pages) == list(ref.pages)
+            for probe in probes + [buf]:
+                assert cache.contains(probe) == all(
+                    p in ref.pages for p in probe.pages())
+
+    @given(steps=_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_nic_tlb(self, steps):
+        tlb = NicTlb(entries=6, miss_base_us=10.0, miss_page_us=13.0,
+                     bulk_threshold_pages=3, bulk_page_us=0.5, hit_us=0.01)
+        ref = _PageWalkReference()
+        for buf in self._buffers(steps):
+            if buf is None:
+                tlb.clear()
+                ref.pages.clear()
+                continue
+            assert tlb.lookup(buf) == ref.tlb_lookup(tlb, buf)
+            assert (tlb.hits, tlb.misses) == (ref.hits, ref.misses)
+            assert _page_order(tlb._tlb) == list(ref.pages)
