@@ -21,9 +21,6 @@ Usage::
         --network myrinet                # lossy wire, GM ack/resend absorbs
     python -m repro faults               # degradation curves per fabric
     python -m repro report --run-timeout 120   # livelock guard per spec
-    python -m repro perf                 # pinned perf suite -> BENCH_<rev>.json
-    python -m repro perf --quick --compare BENCH_base.json --fail-below 0.75
-    python -m repro perf report          # events/sec history of BENCH files
     python -m repro bench latency --stats --timeline 5 \
         --network myrinet                # repetition stats + sim-time timeline
     python -m repro fig1 --ledger runs.jsonl --progress  # run-lifecycle JSONL
@@ -40,7 +37,9 @@ Usage::
     python -m repro cache migrate --cache-dir .repro_cache   # dir -> sqlite
     python -m repro cache stats  --cache-dir .repro_cache
 
-Installed as the ``repro`` console script as well.
+Installed as the ``repro`` console script as well.  The simulator's own
+host-time speed is measured outside this CLI, by ``perfbench/run.py``
+and the A/B driver ``tools/ab.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def _cmd_list() -> int:
     print("tables:  " + " ".join(sorted(TABLES)))
     print("apps:    " + " ".join(sorted(PROBLEMS)))
     print("other:   calibration  loggp  sensitivity  validate  report  "
-          "matrix  faults  perf  perf report  scale  bench <name>  "
+          "matrix  faults  scale  bench <name>  "
           "profile <app.class> <nprocs>  diff <refA> <refB>  "
           "serve  submit <ref...>  cache migrate|stats")
     return 0
@@ -430,47 +429,6 @@ def _cmd_cache(ns) -> int:
     raise SystemExit(f"unknown cache action {action!r} (migrate | stats)")
 
 
-def _cmd_perf(ns) -> int:
-    """``repro perf``: run the pinned suite and write a BENCH report.
-
-    ``repro perf report [DIR]`` instead renders the events/sec history
-    of every committed ``BENCH_*.json`` under DIR (default: cwd).
-    """
-    import os
-
-    from repro import perf
-
-    if ns.args and ns.args[0] == "report":
-        root = ns.args[1] if len(ns.args) > 1 else "."
-        files = perf.collect_bench_files(root)
-        print(perf.render_history(perf.load_history(files)))
-        return 0
-    targets = perf.suite_by_name(quick=ns.quick)
-    rev = perf.git_rev()
-    baseline_rev = perf.git_rev(ns.baseline_src) if ns.baseline_src else None
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    measured = perf.run_suite(
-        src_dir, baseline_src=ns.baseline_src, targets=targets,
-        repeats=ns.repeats,
-        progress=lambda msg: print(f"[perf] {msg}", flush=True))
-    record = perf.bench_record(
-        measured["current"], baseline=measured.get("baseline"),
-        rev=rev, baseline_rev=baseline_rev, repeats=ns.repeats)
-    comparison = None
-    if ns.compare:
-        comparison = perf.compare_totals(record, perf.load_bench(ns.compare))
-    out = ns.out if ns.out != "trace.json" else perf.bench_filename(rev)
-    perf.write_bench(record, out)
-    print(perf.render_report(record, comparison))
-    print(f"wrote {out}")
-    if comparison is not None and ns.fail_below is not None:
-        if comparison["ratio"] < ns.fail_below:
-            print(f"FAIL: events/sec ratio {comparison['ratio']:.3f} "
-                  f"below threshold {ns.fail_below}")
-            return 1
-    return 0
-
-
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the requested artifact."""
     parser = argparse.ArgumentParser(
@@ -478,7 +436,7 @@ def main(argv=None) -> int:
         description="Regenerate artifacts from Liu et al. (SC'03) in simulation.")
     parser.add_argument("target", help="figN | tableN | calibration | loggp | "
                                        "sensitivity | profile | trace | "
-                                       "matrix | faults | perf | scale | "
+                                       "matrix | faults | scale | "
                                        "bench | list")
     parser.add_argument("args", nargs="*", help="extra arguments (profile: "
                                                 "app.class nprocs; trace: "
@@ -549,24 +507,8 @@ def main(argv=None) -> int:
                         help="seed for the deterministic fault roll stream "
                              "(shorthand for --fault seed=N)")
     parser.add_argument("--quick", action="store_true",
-                        help="perf: reduced CI smoke suite instead of the "
-                             "full pinned suite")
-    parser.add_argument("--repeats", type=int, default=2, metavar="N",
-                        help="perf: interleaved measurement passes per tree, "
-                             "best-of fold (default: 2)")
-    parser.add_argument("--baseline-src", default=None, metavar="DIR",
-                        dest="baseline_src",
-                        help="perf: also measure the source tree rooted at "
-                             "DIR (a 'src' directory, e.g. a git worktree's) "
-                             "interleaved with the current one")
-    parser.add_argument("--compare", default=None, metavar="BENCH.json",
-                        help="perf: diff the new report against a previously "
-                             "written BENCH file")
-    parser.add_argument("--fail-below", type=float, default=None,
-                        metavar="RATIO", dest="fail_below",
-                        help="perf: with --compare, exit non-zero when the "
-                             "events/sec ratio drops below RATIO "
-                             "(e.g. 0.75 = fail on >25%% regression)")
+                        help="scale: trimmed rank list, no all-to-all "
+                             "simulation anchors")
     parser.add_argument("--run-timeout", type=float, default=None,
                         metavar="SECONDS", dest="run_timeout",
                         help="per-spec wall-clock budget; a run exceeding it "
@@ -655,8 +597,6 @@ def _dispatch(ns, parser) -> int:
         return _cmd_submit(ns)
     if t == "cache":
         return _cmd_cache(ns)
-    if t == "perf":
-        return _cmd_perf(ns)
     if t == "faults":
         from repro.experiments.degradation import degradation_report
 

@@ -5,22 +5,10 @@ the simulated networks, the methodology of the paper's related work
 ([Culler et al. 93] for the model, [Bell et al., IPDPS'03] for the
 multi-network characterization, [Martin et al., ISCA'97] for the
 application sensitivity study the paper cites in §3.2).
-
-:mod:`repro.analysis.fastpath` turns the LogGP observation that
-steady-state micro-benchmarks are affine in the iteration count into an
-analytic fast path: short engine probes plus exact extrapolation.
 """
 
-from repro.analysis.fastpath import (
-    CLAIMED_POINTS,
-    analytic_bandwidth,
-    analytic_collective,
-    analytic_latency,
-)
 from repro.analysis.logp import LogGPParams, extract_loggp, loggp_report
 from repro.analysis.sensitivity import sensitivity_report, sweep_parameter
 
 __all__ = ["LogGPParams", "extract_loggp", "loggp_report",
-           "sweep_parameter", "sensitivity_report",
-           "CLAIMED_POINTS", "analytic_latency", "analytic_bandwidth",
-           "analytic_collective"]
+           "sweep_parameter", "sensitivity_report"]

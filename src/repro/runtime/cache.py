@@ -14,8 +14,8 @@ model never serves stale numbers.  Tiers:
 
   - ``dir``  — one JSON file per result under
     ``<dir>/<salt>/<digest[:2]>/<digest>.json`` (2-hex-prefix shards so
-    huge sweep caches never degrade into one giant directory scan; the
-    legacy flat ``<dir>/<salt>/<digest>.json`` layout is still read);
+    huge sweep caches never degrade into one giant directory scan;
+    ``repro cache migrate`` still reads the pre-shard flat layout);
   - ``sqlite`` — a single WAL-mode database
     (:mod:`repro.runtime.sqlite_cache`) with safe concurrent
     readers/writers, LRU eviction and a cross-process in-flight claim
@@ -150,10 +150,7 @@ class CacheStats:
 class DirBackend:
     """Sharded one-JSON-file-per-result tier (the original disk cache).
 
-    Files live under ``<root>/<salt>/<digest[:2]>/<digest>.json``; the
-    pre-shard flat layout ``<root>/<salt>/<digest>.json`` is read (and
-    quarantined) transparently, so existing caches keep serving without
-    a migration.  Writes always land in the sharded layout.
+    Files live under ``<root>/<salt>/<digest[:2]>/<digest>.json``.
     """
 
     kind = "dir"
@@ -167,28 +164,24 @@ class DirBackend:
 
     # -- layout --------------------------------------------------------
     def path(self, digest: str) -> Path:
-        """Sharded location for ``digest`` (where writes go)."""
+        """Sharded location for ``digest``."""
         return self.root / self.salt / digest[:2] / f"{digest}.json"
-
-    def legacy_path(self, digest: str) -> Path:
-        """Flat pre-shard location (read-through only)."""
-        return self.root / self.salt / f"{digest}.json"
 
     # -- payload I/O ---------------------------------------------------
     def get(self, digest: str) -> Optional[dict]:
-        for path in (self.path(digest), self.legacy_path(digest)):
-            if not path.is_file():
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                payload = None
-            if isinstance(payload, dict):
-                return payload
-            # unparseable (or non-dict) file: quarantine it so the next
-            # run re-simulates once instead of re-failing the parse
-            # forever; the .corrupt file is kept for forensics
-            self._quarantine(path)
+        path = self.path(digest)
+        if not path.is_file():
+            return None
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            payload = None
+        if isinstance(payload, dict):
+            return payload
+        # unparseable (or non-dict) file: quarantine it so the next run
+        # re-simulates once instead of re-failing the parse forever; the
+        # .corrupt file is kept for forensics
+        self._quarantine(path)
         return None
 
     def _quarantine(self, path: Path) -> None:

@@ -137,20 +137,6 @@ def _hoist_wall(payload: dict) -> dict:
 def _execute_microbench(spec: RunSpec) -> dict:
     from repro.microbench.common import bench_registry, metrics_sink
 
-    if dict(spec.params).get("analytic"):
-        from repro.analysis import fastpath
-
-        if fastpath.supports(spec.target):
-            # steady-state extrapolation: exact on claimed points,
-            # per-point fallback to full simulation otherwise
-            return fastpath.analytic_microbench_payload(spec)
-        registered = bench_registry().get(spec.target)
-        if registered is None or "analytic" not in \
-                inspect.signature(registered).parameters:
-            raise ValueError(f"microbench {spec.target!r} has no analytic "
-                             f"fast path (know {fastpath.FASTPATH_BENCHES})")
-        # benches with a native closed-form mode (memory_usage) take
-        # `analytic` as an ordinary parameter: fall through and forward
     kwargs = thaw_mapping(spec.params)
     # timeline is executor-level (handled by execute_spec's capture
     # context), not a bench-function parameter

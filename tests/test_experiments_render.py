@@ -130,8 +130,7 @@ class TestValidation:
         # stay within it
         allowed_large = {
             "bidir_latency_us:myrinet", "bidir_latency_us:quadrics",
-            "allreduce_small_us:myrinet", "allreduce_small_us:infiniband",
-            "bidir_bandwidth_mbps:myrinet",
+            "allreduce_small_us:myrinet",
             # +0.25 us absolute on a 0.8 us quantity
             "host_overhead_us:myrinet",
         }

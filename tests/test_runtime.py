@@ -157,16 +157,6 @@ class TestResultCache:
         assert b.lookup(spec) == {"points": [[4, 5.0]]}  # now from memory
         assert b.stats.disk_hits == 1 and b.stats.hits == 2
 
-    def test_legacy_flat_layout_still_readable(self, tmp_path):
-        """Pre-sharding caches wrote <salt>/<digest>.json — keep serving them."""
-        spec = tiny_bench_spec()
-        flat = tmp_path / code_salt() / f"{spec.digest}.json"
-        flat.parent.mkdir(parents=True)
-        flat.write_text(json.dumps({"legacy": True}))
-        cache = ResultCache(disk_dir=tmp_path)
-        assert cache.lookup(spec) == {"legacy": True}
-        assert cache.stats.disk_hits == 1
-
     def test_salt_mismatch_is_a_miss(self, tmp_path):
         """A recalibration (new version salt) must never serve stale data."""
         spec = tiny_bench_spec()

@@ -1,4 +1,4 @@
-"""Time-resolved telemetry: timeline sampler, run ledger, diff, history.
+"""Time-resolved telemetry: timeline sampler, run ledger, diff.
 
 Locks down the contracts of the PR-7 observability layer:
 
@@ -14,7 +14,7 @@ Locks down the contracts of the PR-7 observability layer:
 - sweep wall-clock aggregates into :class:`SweepStats` while the
   ``_elapsed_s``/``_wall_s`` side channels never reach cached payloads;
 - ``repro diff`` renders counter deltas, critical-path deltas and a
-  timeline overlay; ``repro perf report`` renders BENCH history;
+  timeline overlay;
 - ``stats=True`` benches report per-repetition statistics consistent
   with the headline mean.
 """
@@ -206,7 +206,7 @@ def test_sweep_stats_count_errors():
 
 
 # ---------------------------------------------------------------------------
-# CLI: diff / perf report / bench --stats
+# CLI: diff / bench --stats
 # ---------------------------------------------------------------------------
 
 def _run_cli(argv):
@@ -249,30 +249,6 @@ def test_cli_bench_stats_and_timeline():
     assert "repetition statistics" in out
     assert "timeline myrinet" in out
     assert "| sweep:" in out
-
-
-def test_cli_perf_report(tmp_path):
-    record = {
-        "schema": 1, "rev": "abc1234", "timestamp": "2026-01-01T00:00:00Z",
-        "python": "3.12.0", "repeats": 2,
-        "targets": [{"name": "t1", "wall_s": 1.0, "canonical_events": 1000,
-                     "events_per_sec": 1000.0}],
-        "totals": {"wall_s": 1.0, "canonical_events": 1000,
-                   "events_per_sec": 1000.0},
-    }
-    newer = dict(record, rev="def5678", timestamp="2026-02-01T00:00:00Z",
-                 totals={"wall_s": 2.0, "canonical_events": 1000,
-                         "events_per_sec": 500.0},
-                 targets=[{"name": "t1", "wall_s": 2.0,
-                           "canonical_events": 1000,
-                           "events_per_sec": 500.0}])
-    (tmp_path / "BENCH_abc1234.json").write_text(json.dumps(record))
-    (tmp_path / "BENCH_def5678.json").write_text(json.dumps(newer))
-    rc, out = _run_cli(["perf", "report", str(tmp_path)])
-    assert rc == 0
-    assert "perf history" in out
-    assert "abc1234" in out and "def5678" in out
-    assert "0.50x" in out  # regression visible as consecutive-pair ratio
 
 
 # ---------------------------------------------------------------------------
