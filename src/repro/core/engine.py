@@ -27,12 +27,11 @@ Hot-path design (see DESIGN.md §9):
 * Events store their first callback in a dedicated slot (``_cb1``) and
   only allocate a list for the second and later — the overwhelmingly
   common case is exactly one waiter.
-* CPython's cyclic collector is **paused** while the loop runs.  A run
-  allocates hundreds of thousands of objects (events, requests, chunk
-  states) that either live to the end or die by reference counting, so
-  the collector's generational sweeps walk a growing heap and never
-  find garbage.  ``run`` restores the caller's setting on exit and
-  never turns on a collector the caller had turned off.
+* CPython's cyclic collector is **paused** while the loop runs
+  (:func:`gc_paused`).  A run allocates hundreds of thousands of
+  objects (events, requests, chunk states) that either live to the end
+  or die by reference counting, so the collector's generational sweeps
+  walk a growing heap and never find garbage.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import gc
 import time
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -47,7 +47,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.core.tracing import Tracer
 
 __all__ = ["Simulator", "Event", "Timeout", "Delay", "SimulationError",
-           "set_wall_timeout", "get_wall_timeout"]
+           "set_wall_timeout", "get_wall_timeout", "gc_paused"]
 
 
 class SimulationError(RuntimeError):
@@ -76,6 +76,24 @@ def set_wall_timeout(seconds: Optional[float]) -> None:
 def get_wall_timeout() -> Optional[float]:
     """The current per-run wall-clock budget in seconds, or None."""
     return _WALL_TIMEOUT_S
+
+
+@contextmanager
+def gc_paused():
+    """Pause CPython's cyclic collector for the ``with`` block.
+
+    For bulk work that allocates many objects but no reference cycles
+    (the run loop, decoding cached results), where the collector's
+    heap-growth sweeps only cost time.  The caller's setting is restored
+    on every exit, and a collector the caller had off stays off.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 #: Priority used for ordinary events.
@@ -397,83 +415,79 @@ class Simulator:
         if until_event is not None:
             stop = []
             until_event.add_callback(stop.append)
-        gc_was_on = gc.isenabled()
-        if gc_was_on:
-            gc.disable()
         try:
-            while True:
-                if stop is not None:
-                    if stop:
-                        return until_event.value
-                    if not (ru or rn or heap):
-                        raise SimulationError(
-                            f"deadlock: event heap drained at t={self.now:.3f} "
-                            f"while waiting for {until_event!r}"
-                        )
-                elif not (ru or rn or heap):
-                    break
-                # -- select the globally next entry (time, prio, seq) --
-                if ru:
-                    e = ru[0]
-                    src = 0
-                    if rn and rn[0] < e:
-                        e = rn[0]
-                        src = 1
-                    if heap and heap[0] < e:
-                        e = heap[0]
-                        src = 2
-                    if src == 0:
-                        ru.popleft()
-                    elif src == 1:
-                        rn.popleft()
-                    else:
-                        pop_heap(heap)
-                elif rn:
-                    e = rn[0]
-                    if heap and heap[0] < e:
-                        e = pop_heap(heap)
-                    else:
-                        rn.popleft()
-                else:
-                    e = pop_heap(heap)
-                t = e[0]
-                if t > horizon:
-                    # push back: the entry has not fired
-                    heappush(heap, e)
+            with gc_paused():
+                while True:
                     if stop is not None:
+                        if stop:
+                            return until_event.value
+                        if not (ru or rn or heap):
+                            raise SimulationError(
+                                f"deadlock: event heap drained at t={self.now:.3f} "
+                                f"while waiting for {until_event!r}"
+                            )
+                    elif not (ru or rn or heap):
+                        break
+                    # -- select the globally next entry (time, prio, seq) --
+                    if ru:
+                        e = ru[0]
+                        src = 0
+                        if rn and rn[0] < e:
+                            e = rn[0]
+                            src = 1
+                        if heap and heap[0] < e:
+                            e = heap[0]
+                            src = 2
+                        if src == 0:
+                            ru.popleft()
+                        elif src == 1:
+                            rn.popleft()
+                        else:
+                            pop_heap(heap)
+                    elif rn:
+                        e = rn[0]
+                        if heap and heap[0] < e:
+                            e = pop_heap(heap)
+                        else:
+                            rn.popleft()
+                    else:
+                        e = pop_heap(heap)
+                    t = e[0]
+                    if t > horizon:
+                        # push back: the entry has not fired
+                        heappush(heap, e)
+                        if stop is not None:
+                            raise SimulationError(
+                                f"simulation horizon {until} reached while waiting "
+                                f"for {until_event!r}"
+                            )
+                        break
+                    self.now = t
+                    if not (n & _WALL_CHECK_MASK) and monotonic() > deadline:
+                        heappush(heap, e)  # not fired; keep state consistent
                         raise SimulationError(
-                            f"simulation horizon {until} reached while waiting "
-                            f"for {until_event!r}"
-                        )
-                    break
-                self.now = t
-                if not (n & _WALL_CHECK_MASK) and monotonic() > deadline:
-                    heappush(heap, e)  # not fired; keep state consistent
-                    raise SimulationError(
-                        f"wall-clock timeout: run exceeded {wall}s "
-                        f"(sim t={self.now:.3f}us, {n} events)")
-                n += 1
-                self._npending -= 1
-                obj = e[3]
-                if isinstance(obj, Event):
-                    obj.processed = True
-                    cb = obj._cb1
-                    if cb is not None:
-                        obj._cb1 = None
-                        cb(obj)
-                    cbs = obj.callbacks
-                    if cbs is not None:
-                        obj.callbacks = None
-                        for fn in cbs:
-                            fn(obj)
-                else:
-                    obj()
-            if until is not None and self.now < until:
-                self.now = until
-            return None
+                            f"wall-clock timeout: run exceeded {wall}s "
+                            f"(sim t={self.now:.3f}us, {n} events)")
+                    n += 1
+                    self._npending -= 1
+                    obj = e[3]
+                    if isinstance(obj, Event):
+                        obj.processed = True
+                        cb = obj._cb1
+                        if cb is not None:
+                            obj._cb1 = None
+                            cb(obj)
+                        cbs = obj.callbacks
+                        if cbs is not None:
+                            obj.callbacks = None
+                            for fn in cbs:
+                                fn(obj)
+                    else:
+                        obj()
+                if until is not None and self.now < until:
+                    self.now = until
+                return None
         finally:
-            if gc_was_on:
-                gc.enable()
             self._nprocessed = n
             self._running = False
             # anything fast-pathed into the ready deques but unfired

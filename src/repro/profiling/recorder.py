@@ -27,6 +27,7 @@ clear it or set ``scale``/``sample_iters``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["CallRecord", "TransferRecord", "Recorder"]
@@ -56,6 +57,19 @@ class TransferRecord(NamedTuple):
     intra: bool
     in_collective: bool
     time: float
+
+
+def _rows(cls, rows):
+    """``list(map(cls._make, rows))`` without a Python call per row.
+
+    ``tuple.__new__`` builds each record in C, so the row lengths are
+    checked once up front, with ``_make``'s ``TypeError``.
+    """
+    n = len(cls._fields)
+    bad = set(map(len, rows)) - {n}
+    if bad:
+        raise TypeError(f"Expected {n} arguments, got {min(bad)}")
+    return list(map(tuple.__new__, repeat(cls), rows))
 
 
 class Recorder:
@@ -118,8 +132,8 @@ class Recorder:
         rec = cls()
         rec.scale = data["scale"]
         rec.sample_iters = data["sample_iters"]
-        rec.calls = list(map(CallRecord._make, data["calls"]))
-        rec.transfers = list(map(TransferRecord._make, data["transfers"]))
+        rec.calls = _rows(CallRecord, data["calls"])
+        rec.transfers = _rows(TransferRecord, data["transfers"])
         return rec
 
     # -- convenience -----------------------------------------------------------

@@ -101,7 +101,7 @@ def write_chrome_trace(path: str, tracers: Union[Tracer, Dict[str, Tracer]],
     """Write :func:`chrome_trace` output to ``path``; returns #events."""
     doc = chrome_trace(tracers, recorder=recorder)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=None, separators=(",", ":"))
+        fh.write(json.dumps(doc, separators=(",", ":")))
     return len(doc["traceEvents"])
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Union
 
+from repro.core.engine import gc_paused
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
 __all__ = ["CacheStats", "ResultCache", "DirBackend", "DEFAULT_CACHE_DIR",
@@ -173,7 +174,8 @@ class DirBackend:
         if not path.is_file():
             return None
         try:
-            payload = json.loads(path.read_text())
+            with gc_paused():  # a payload is a tree: no cycles to find
+                payload = json.loads(path.read_text())
         except (OSError, ValueError):
             payload = None
         if isinstance(payload, dict):
@@ -198,6 +200,8 @@ class DirBackend:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
+                # streamed, not json.dumps: freeing one multi-MB string
+                # raises glibc's mmap threshold, and with it peak RSS
                 json.dump(payload, fh, separators=(",", ":"))
             os.replace(tmp, path)
         except BaseException:
@@ -372,7 +376,8 @@ class ResultCache:
         digest = spec.digest
         obj = self._decoded.get(digest)
         if obj is None:
-            obj = self._decoded[digest] = decode(payload)
+            with gc_paused():
+                obj = self._decoded[digest] = decode(payload)
         return obj
 
     def store(self, spec: RunSpec, payload: dict) -> None:

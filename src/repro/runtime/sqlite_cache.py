@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.core.engine import gc_paused
 from repro.runtime.cache import CacheStats, code_salt
 
 __all__ = ["SqliteBackend", "DB_FILENAME", "migrate_dir_tier"]
@@ -146,7 +147,8 @@ class SqliteBackend:
             return None
         blob, last_used = row
         try:
-            payload = json.loads(blob)
+            with gc_paused():
+                payload = json.loads(blob)
         except (ValueError, TypeError):
             payload = None
         if not isinstance(payload, dict):
@@ -349,7 +351,8 @@ def migrate_dir_tier(root: Union[str, Path],
                 if exists:
                     continue
                 try:
-                    payload = json.loads(path.read_text())
+                    with gc_paused():
+                        payload = json.loads(path.read_text())
                 except (OSError, ValueError):
                     continue  # corrupt files stay behind for the dir tier
                 if not isinstance(payload, dict):

@@ -389,15 +389,6 @@ class TestFastEventCore:
         assert order == [("woke", "done", 3.0), ("after-trigger", 3.0)]
 
 
-@pytest.fixture(params=[True, False], ids=["caller_on", "caller_off"])
-def caller_gc(request):
-    """Set the collector as the caller of ``run`` has it; restore after."""
-    was_on = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was_on else gc.disable)()
-
-
 class TestCollectorPause:
     """``Simulator.run`` pauses the cyclic collector for its loop only."""
 

@@ -91,6 +91,29 @@ class TestRecordCodec:
         with pytest.raises(TypeError):
             Recorder.from_dict(bad)
 
+    def test_rehydrates_exactly_like_make(self, payload):
+        """The bulk rebuild gives ``_make``'s records, field by field and
+        type by type."""
+        cached = json.loads(json.dumps(payload))
+        rec = Recorder.from_dict(cached)
+        for got, cls, rows in ((rec.calls, CallRecord, cached["calls"]),
+                               (rec.transfers, TransferRecord, cached["transfers"])):
+            want = list(map(cls._make, rows))
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert type(g) is cls
+                assert g == w
+                assert list(map(type, g)) == list(map(type, w))
+
+    @pytest.mark.parametrize("stream", ["calls", "transfers"])
+    @pytest.mark.parametrize("short", [True, False])
+    def test_wrong_length_in_the_last_row_raises(self, payload, stream, short):
+        row = payload[stream][-1]
+        bad_row = row[:-1] if short else row + [0]
+        bad = dict(payload, **{stream: payload[stream][:-1] + [bad_row]})
+        with pytest.raises(TypeError):
+            Recorder.from_dict(bad)
+
     def test_records_immutable(self, payload):
         rec = Recorder.from_dict(payload)
         with pytest.raises(AttributeError):

@@ -15,6 +15,7 @@ The properties locked down here are what the whole layer rests on:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import subprocess
@@ -157,6 +158,17 @@ class TestResultCache:
         assert b.lookup(spec) == {"points": [[4, 5.0]]}  # now from memory
         assert b.stats.disk_hits == 1 and b.stats.hits == 2
 
+    def test_disk_file_is_the_compact_json_dump(self, tmp_path):
+        """A stored file's bytes are exactly ``json.dumps`` with compact
+        separators, non-finite floats included."""
+        spec = tiny_bench_spec()
+        payload = {"points": [[4, 5.0], [8, float("inf")]],
+                   "nested": [[True, False, None], []], "nan": float("nan")}
+        cache = ResultCache(disk_dir=tmp_path)
+        cache.store(spec, payload)
+        blob = cache.backend.path(spec.digest).read_bytes()
+        assert blob == json.dumps(payload, separators=(",", ":")).encode()
+
     def test_salt_mismatch_is_a_miss(self, tmp_path):
         """A recalibration (new version salt) must never serve stale data."""
         spec = tiny_bench_spec()
@@ -204,6 +216,83 @@ class TestResultCache:
             assert again is not first
             first = again
         assert len(calls) == 3
+
+
+class TestDecodePausesCollector:
+    """Bulk decodes of cached results run with the cyclic collector
+    paused, and leave it as the caller had it (``caller_gc``)."""
+
+    @pytest.fixture
+    def loads_seen(self, monkeypatch):
+        """The collector's state at every ``json.loads``."""
+        seen = []
+        real = json.loads
+
+        def loads(*args, **kw):
+            seen.append(gc.isenabled())
+            return real(*args, **kw)
+
+        monkeypatch.setattr(json, "loads", loads)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_hit(self, tmp_path, caller_gc, loads_seen, backend):
+        spec = tiny_bench_spec()
+        cache = ResultCache(disk_dir=tmp_path, backend=backend)
+        cache.store(spec, {"v": [1, True]})
+        cache.clear()  # drop the memory tier so lookup decodes
+        seen = []
+
+        def decode(payload):
+            seen.append(gc.isenabled())
+            return payload
+
+        payload = cache.lookup(spec)
+        assert cache.decoded(spec, payload, decode) == {"v": [1, True]}
+        cache.close()
+        assert loads_seen == [False] and seen == [False]
+        assert gc.isenabled() is caller_gc
+
+    def test_corrupt_file_quarantined(self, tmp_path, caller_gc, loads_seen):
+        spec = tiny_bench_spec()
+        cache = ResultCache(disk_dir=tmp_path)
+        path = cache.backend.path(spec.digest)
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
+        assert cache.lookup(spec) is None
+        assert cache.stats.corrupt == 1 and not path.exists()
+        assert loads_seen == [False]
+        assert gc.isenabled() is caller_gc
+
+    def test_corrupt_sqlite_row(self, tmp_path, caller_gc, loads_seen):
+        spec = tiny_bench_spec()
+        cache = ResultCache(disk_dir=tmp_path, backend="sqlite")
+        cache.store(spec, {"v": 1})
+        cache.backend._connect().execute(
+            "UPDATE results SET payload=? WHERE digest=?",
+            (b"{not json", spec.digest))
+        cache.clear()
+        assert cache.lookup(spec) is None
+        assert cache.stats.corrupt == 1
+        cache.close()
+        assert loads_seen == [False]
+        assert gc.isenabled() is caller_gc
+
+    def test_decode_that_raises(self, caller_gc):
+        spec = tiny_bench_spec()
+        cache = ResultCache()
+        seen = []
+
+        def decode(payload):
+            seen.append(gc.isenabled())
+            raise ValueError("undecodable")
+
+        with pytest.raises(ValueError, match="undecodable"):
+            cache.decoded(spec, {"v": 1}, decode)
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc
+        # nothing was memoised: the next decode runs
+        assert cache.decoded(spec, {"v": 1}, lambda p: p) == {"v": 1}
 
 
 # ----------------------------------------------------------------------
