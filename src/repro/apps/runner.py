@@ -18,6 +18,7 @@ from repro.apps.classes import get_problem
 from repro.apps.nas import (BTBench, CGBench, FTBench, ISBench, LUBench,
                             MGBench, SPBench)
 from repro.apps.sweep3d import Sweep3DBench
+from repro.core.engine import gc_paused
 from repro.mpi.world import MPIWorld
 from repro.profiling.recorder import Recorder
 from repro.runtime.spec import RunSpec, thaw_mapping
@@ -123,24 +124,17 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
 
 
 def _decode_recorder(payload: dict) -> Recorder:
-    return Recorder.from_dict(payload["recorder"])
+    """The payload's Recorder, built with the collector paused: a large
+    profile is a few hundred thousand fresh tuples and no cycles."""
+    with gc_paused():
+        return Recorder.from_dict(payload["recorder"])
 
 
-def app_result_from_payload(payload: dict,
-                            spec: Optional[RunSpec] = None) -> AppResult:
-    """Rehydrate an :class:`AppResult` (incl. Recorder) from a payload.
-
-    Given the payload's ``spec`` and an active result cache, the Recorder
-    is decoded once per runtime (:meth:`ResultCache.decoded`) and shared
-    read-only by every caller; each call still builds its own AppResult.
-    """
-    from repro import runtime
-
-    recorder = None
-    if payload["recorder"] is not None:
-        cache = runtime.get_cache() if spec is not None else None
-        recorder = (cache.decoded(spec, payload, _decode_recorder)
-                    if cache is not None else _decode_recorder(payload))
+def app_result_from_payload(payload: dict) -> AppResult:
+    """Rehydrate an :class:`AppResult` (incl. a private Recorder) from a
+    payload."""
+    recorder = (_decode_recorder(payload)
+                if payload["recorder"] is not None else None)
     return AppResult(
         app=payload["app"], klass=payload["klass"], network=payload["network"],
         nprocs=payload["nprocs"], ppn=payload["ppn"],

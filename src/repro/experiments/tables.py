@@ -1,12 +1,11 @@
 """Table drivers: regenerate the paper's Tables 1-6.
 
 Like the figure drivers, every table declares its application runs as
-:class:`~repro.runtime.spec.RunSpec` sweeps.  Tables 1 and 3-5 profile
-the *same* InfiniBand runs: after the first table the remaining ones
-simulate nothing, their payloads come from the result cache, and each
-payload's Recorder is decoded once per runtime and shared read-only
-(:meth:`~repro.runtime.cache.ResultCache.decoded`), so the later tables
-only pay for their statistics.
+:class:`~repro.runtime.spec.RunSpec` sweeps.  Tables 1 and 3-6 read one
+per-run summary (:func:`_profile_summary`) through
+:func:`repro.runtime.derive`: the summary is computed once per run and
+cached beside its payload, so a warm table reads a few numbers per run
+and neither the payload nor its Recorder.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.apps.runner import app_result_from_payload
+from repro.apps.runner import _decode_recorder
 from repro.experiments.ascii_plot import table as render_table
 from repro.networks import NETWORKS
 from repro.profiling import (
@@ -24,7 +23,7 @@ from repro.profiling import (
     message_size_histogram,
     nonblocking_stats,
 )
-from repro.runtime import RunSpec, run_specs
+from repro.runtime import RunSpec, derive, run_specs
 
 __all__ = ["TableResult", "TABLES", "run_table"]
 
@@ -57,20 +56,29 @@ class TableResult:
         return txt
 
 
-def _profile_runs(quick: bool, specs=APP_SPECS, ppn: int = 1):
-    """Run each application on InfiniBand (one sweep) and keep the recorders."""
+def _profile_summary(payload: dict) -> dict:
+    """Every profiling statistic Tables 1 and 3-6 read off one app run."""
+    rec = _decode_recorder(payload)
+    return {"sizes": message_size_histogram(rec),
+            "nonblocking": nonblocking_stats(rec),
+            "reuse": buffer_reuse_rate(rec),
+            "collective": collective_stats(rec),
+            "intranode": intranode_stats(rec)}
+
+
+def _profile_summaries(quick: bool, specs=APP_SPECS, ppn: int = 1):
+    """Run each application on InfiniBand (one sweep); keep its summary."""
     plan = [RunSpec.app(app, klass, "infiniband", np_, ppn=ppn, record=True,
                         sample_iters=2 if quick else None)
             for app, klass, np_ in specs]
-    return [app_result_from_payload(payload, spec)
-            for spec, payload in zip(plan, run_specs(plan))]
+    return derive(plan, _profile_summary)
 
 
 def table1(quick: bool = True) -> TableResult:
     """Message size distribution (per-process MPI send calls)."""
     rows = []
-    for label, res in zip(APP_LABELS, _profile_runs(quick)):
-        hist = message_size_histogram(res.recorder)
+    for label, summary in zip(APP_LABELS, _profile_summaries(quick)):
+        hist = summary["sizes"]
         rows.append([label, hist["<2K"], hist["2K-16K"], hist["16K-1M"],
                      hist[">1M"]])
     return TableResult(
@@ -115,8 +123,8 @@ def table2(quick: bool = True) -> TableResult:
 def table3(quick: bool = True) -> TableResult:
     """Non-blocking MPI call usage per process."""
     rows = []
-    for label, res in zip(APP_LABELS, _profile_runs(quick)):
-        nb = nonblocking_stats(res.recorder)
+    for label, summary in zip(APP_LABELS, _profile_summaries(quick)):
+        nb = summary["nonblocking"]
         rows.append([label, nb["isend"]["calls"], round(nb["isend"]["avg_size"]),
                      nb["irecv"]["calls"], round(nb["irecv"]["avg_size"])])
     return TableResult(
@@ -129,8 +137,8 @@ def table3(quick: bool = True) -> TableResult:
 def table4(quick: bool = True) -> TableResult:
     """Buffer reuse rates (plain and size-weighted)."""
     rows = []
-    for label, res in zip(APP_LABELS, _profile_runs(quick)):
-        st = buffer_reuse_rate(res.recorder)
+    for label, summary in zip(APP_LABELS, _profile_summaries(quick)):
+        st = summary["reuse"]
         rows.append([label, round(st["reuse_pct"], 2),
                      round(st["weighted_reuse_pct"], 2)])
     return TableResult(
@@ -143,8 +151,8 @@ def table4(quick: bool = True) -> TableResult:
 def table5(quick: bool = True) -> TableResult:
     """Collective call counts and shares."""
     rows = []
-    for label, res in zip(APP_LABELS, _profile_runs(quick)):
-        st = collective_stats(res.recorder)
+    for label, summary in zip(APP_LABELS, _profile_summaries(quick)):
+        st = summary["collective"]
         rows.append([label, st["calls"], round(st["pct_calls"], 2),
                      round(st["pct_volume"], 2)])
     return TableResult(
@@ -157,8 +165,9 @@ def table6(quick: bool = True) -> TableResult:
     """Intra-node point-to-point share, 16 processes on 8 nodes (block)."""
     specs = [(a, k, 16) for a, k, _n in APP_SPECS]  # 16 procs on 8 nodes
     rows = []
-    for label, res in zip(APP_LABELS, _profile_runs(quick, specs=specs, ppn=2)):
-        st = intranode_stats(res.recorder)
+    for label, summary in zip(APP_LABELS,
+                              _profile_summaries(quick, specs=specs, ppn=2)):
+        st = summary["intranode"]
         rows.append([label, st["calls"], round(st["pct_calls"], 2),
                      round(st["pct_volume"], 2)])
     return TableResult(

@@ -18,11 +18,11 @@ Both record types are ``NamedTuple``s whose field order *is* the row
 format of the cached payload, so :meth:`Recorder.to_dict` and
 :meth:`Recorder.from_dict` convert whole streams in bulk.
 
-A Recorder rehydrated from a cached payload may be shared: the profiling
-tables decode each payload once per runtime and hand the same Recorder
-to every table (``ResultCache.decoded``).  Such a Recorder is
-**read-only** — only the live world that fills it may record into it,
-clear it or set ``scale``/``sample_iters``.
+A Recorder rehydrated from a cached payload is **read-only**: the
+profiling tables decode one per run and compute every statistic of the
+run's summary from it (:func:`repro.runtime.derive`).  Only the live
+world that fills a Recorder may record into it, clear it or set
+``scale``/``sample_iters``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _rows(cls, rows):
 class Recorder:
     """Collects call/transfer records from every rank of a world.
 
-    Once decoded from a cached payload it is read-only by contract (it
-    may be shared by several tables; see the module docstring).
+    Once decoded from a cached payload it is read-only by contract (see
+    the module docstring).
     """
 
     def __init__(self) -> None:

@@ -6,8 +6,9 @@ Counts honour ``recorder.scale`` so sampled application runs can be
 extrapolated to full-length executions.
 
 Every function here only *reads* the Recorder: the profiling tables
-share one decoded Recorder per cached run, so a statistic that mutated
-it would change every table rendered after it.
+run all of them over one decoded Recorder per run (the per-run summary
+that :func:`repro.runtime.derive` caches), so a statistic that mutated
+it would change every statistic computed after it.
 """
 
 from __future__ import annotations

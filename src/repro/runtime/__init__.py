@@ -23,13 +23,17 @@ the CLI (``--jobs`` / ``--no-cache`` / ``--cache-dir`` / ``--ledger`` /
     from repro import runtime
     runtime.configure(jobs=4, ledger="runs.jsonl")
     payloads = runtime.run_specs(specs)
+
+:func:`derive` serves a value computed from each payload (the profiling
+tables' per-run summary) from its own cache entry, so a warm reader
+never reads the payload behind it.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.core.metrics import MetricsRegistry
 from repro.obs.ledger import RunLedger
@@ -44,7 +48,7 @@ from repro.runtime.spec import (SPEC_SCHEMA_VERSION, RunSpec, freeze_mapping,
 __all__ = [
     "RunSpec", "ResultCache", "CacheStats", "SweepExecutor",
     "SweepError", "SpecExecutionError", "SweepStats", "is_error_payload",
-    "execute_spec", "configure", "reset", "run_spec", "run_specs",
+    "execute_spec", "configure", "reset", "run_spec", "run_specs", "derive",
     "get_cache", "get_executor", "cache_stats", "metrics", "sweep_stats",
     "DEFAULT_CACHE_DIR", "BACKENDS", "SPEC_SCHEMA_VERSION", "code_salt",
     "freeze_mapping", "thaw_mapping",
@@ -191,6 +195,12 @@ def sweep_stats() -> SweepStats:
 def run_specs(specs: Sequence[RunSpec]) -> List[dict]:
     """Run a sweep through the process-wide executor (cached, parallel)."""
     return get_executor().run(specs)
+
+
+def derive(specs: Sequence[RunSpec], fn: Callable[[dict], Any]) -> List[Any]:
+    """``fn(payload)`` per spec, cached beside the payloads
+    (:meth:`SweepExecutor.derive`)."""
+    return get_executor().derive(specs, fn)
 
 
 def run_spec(spec: RunSpec) -> dict:

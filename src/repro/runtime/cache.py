@@ -5,10 +5,7 @@ the spec's content digest plus a *code-version salt*, so a recalibrated
 model never serves stale numbers.  Tiers:
 
 - **in-memory** — always on; this is what deduplicates the repeated
-  class-B NAS runs across figure and table drivers in one process.
-  Beside it sits a decode memo (:meth:`ResultCache.decoded`) so the
-  profiling tables rehydrate each app payload's Recorder once, not once
-  per table;
+  class-B NAS runs across figure and table drivers in one process;
 - **shared** — optional, pluggable (:data:`BACKENDS`), surviving across
   processes and CLI invocations:
 
@@ -26,23 +23,31 @@ CLI (``--cache-backend``) or by the ``REPRO_CACHE_BACKEND`` environment
 variable; ``dir`` remains the default and both backends key payloads by
 the identical ``(salt, digest)`` pair, so they are interchangeable views
 of the same content-addressed space.
+
+Both tiers also hold *derived entries*: a value computed from one
+payload (the profiling tables' per-run summary), keyed by a
+:class:`DerivedKey` (see :meth:`repro.runtime.executor.SweepExecutor.derive`).
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Union
+from typing import Callable, List, NamedTuple, Optional, Union
 
 from repro.core.engine import gc_paused
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
 __all__ = ["CacheStats", "ResultCache", "DirBackend", "DEFAULT_CACHE_DIR",
-           "BACKENDS", "code_salt", "make_backend"]
+           "BACKENDS", "code_salt", "make_backend", "DerivedKey",
+           "derived_key", "source_fingerprint"]
 
 #: conventional on-disk location (relative to the working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -71,9 +76,53 @@ def default_backend_kind() -> str:
     return kind
 
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint(module: str) -> str:
+    """sha256 over the source of :mod:`repro.profiling` and of ``module``.
+
+    Computed once per process.  It keys derived entries, so editing a
+    statistic (or the function deriving it) retires every stored value
+    without a salt bump.
+    """
+    import repro.profiling
+
+    files = sorted(Path(repro.profiling.__file__).parent.glob("*.py"))
+    own = getattr(sys.modules.get(module), "__file__", None)
+    if own:
+        files.append(Path(own))
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class DerivedKey(NamedTuple):
+    """Cache key of ``fn(payload)`` for one base spec.
+
+    It stands where a :class:`RunSpec` would in :meth:`ResultCache.lookup`
+    and :meth:`ResultCache.store`, which only read ``digest``.
+    """
+
+    digest: str
+
+
+def derived_key(spec: RunSpec, fn: Callable) -> DerivedKey:
+    """Key of ``fn(payload of spec)``: a sha256 of the base spec's
+    digest, ``fn``'s qualified name and :func:`source_fingerprint`."""
+    h = hashlib.sha256()
+    for part in (spec.digest, f"{fn.__module__}.{fn.__qualname__}",
+                 source_fingerprint(fn.__module__)):
+        h.update(part.encode())
+        h.update(b"\0")
+    return DerivedKey(h.hexdigest())
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting: ``misses`` == simulations actually executed.
+
+    A derived entry's miss is not counted: the lookup of its base spec
+    that follows counts the miss, if there is one.
 
     Beyond the counters, every :meth:`ResultCache.lookup` records its
     wall-clock latency so the trailer (and the ledger's
@@ -251,8 +300,6 @@ class ResultCache:
                  **backend_options) -> None:
         self.salt = salt if salt is not None else code_salt()
         self._mem: dict = {}
-        #: digest -> decoded form of that payload (see decoded())
-        self._decoded: dict = {}
         self.stats = CacheStats()
         self._backend = None
         self._backend_kind: Optional[str] = None
@@ -327,8 +374,9 @@ class ResultCache:
         return self._backend.path(digest)
 
     # ------------------------------------------------------------------
-    def lookup(self, spec: RunSpec) -> Optional[dict]:
-        """Return the cached payload, or None (counting a hit or a miss)."""
+    def lookup(self, spec: Union[RunSpec, DerivedKey]) -> Optional[dict]:
+        """Return the cached payload, or None (counting a hit or a miss;
+        a :class:`DerivedKey` counts hits only, see :class:`CacheStats`)."""
         t0 = time.perf_counter()
         digest = spec.digest
         payload = self._mem.get(digest)
@@ -344,7 +392,8 @@ class ResultCache:
                 self.stats.disk_hits += 1
                 self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
                 return payload
-        self.stats.misses += 1
+        if not isinstance(spec, DerivedKey):
+            self.stats.misses += 1
         self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
         return None
 
@@ -361,26 +410,7 @@ class ResultCache:
             return None
         return self._backend.get(spec.digest)
 
-    def decoded(self, spec: RunSpec, payload: dict,
-                decode: Callable[[dict], Any]) -> Any:
-        """``decode(payload)`` for ``spec``, computed once per cache.
-
-        The memo sits beside the in-memory tier, keyed by ``spec.digest``
-        with one decoded form per payload (an app payload's profiling
-        Recorder), and is dropped with that tier: :meth:`clear`,
-        :meth:`close`, and a fresh runtime all start empty.  A digest's
-        payload never changes, so neither does its decoded form.  Every
-        caller gets the *same* object, so it is read-only by contract.
-        Nothing is written to the shared tier.
-        """
-        digest = spec.digest
-        obj = self._decoded.get(digest)
-        if obj is None:
-            with gc_paused():
-                obj = self._decoded[digest] = decode(payload)
-        return obj
-
-    def store(self, spec: RunSpec, payload: dict) -> None:
+    def store(self, spec: Union[RunSpec, DerivedKey], payload: dict) -> None:
         digest = spec.digest
         self._mem[digest] = payload
         self.stats.stores += 1
@@ -401,17 +431,14 @@ class ResultCache:
         return len(self._mem)
 
     def clear(self, stats: bool = True) -> None:
-        """Drop in-memory entries and decoded forms (the shared tier is
-        left alone)."""
+        """Drop in-memory entries (the shared tier is left alone)."""
         self._mem.clear()
-        self._decoded.clear()
         if stats:
             self.stats.reset()
 
     def close(self) -> None:
-        """Release backend resources (db connections) and decoded forms;
-        the memory tier stays."""
-        self._decoded.clear()
+        """Release backend resources (db connections); the memory tier
+        stays."""
         self._close_backend()
 
     def __repr__(self) -> str:  # pragma: no cover

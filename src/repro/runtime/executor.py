@@ -15,6 +15,9 @@ with the exception type/message/traceback and the spec's digest), the
 remaining specs complete, and ``strict=True`` re-raises at the end for
 callers that prefer the old behaviour.  Error payloads are never
 cached and never merged into metrics.
+
+:meth:`SweepExecutor.derive` caches a value computed from each payload
+beside it, so a warm reader of that value never reads the payload.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
+from repro.core.engine import gc_paused
 from repro.core.metrics import MetricsRegistry
 from repro.obs.timeline import DEFAULT_INTERVAL_US, capture
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import DerivedKey, ResultCache, derived_key
 from repro.runtime.spec import KIND_APP, KIND_MICROBENCH, RunSpec, thaw_mapping
 
 __all__ = ["execute_spec", "SweepExecutor", "SweepError", "SweepStats",
@@ -38,6 +43,9 @@ __all__ = ["execute_spec", "SweepExecutor", "SweepError", "SweepStats",
 
 #: payload kind marking a spec that raised instead of producing a result
 KIND_ERROR = "error"
+
+#: kind of a cache entry holding ``fn(payload)`` (see SweepExecutor.derive)
+KIND_DERIVED = "derived"
 
 
 class SpecExecutionError(RuntimeError):
@@ -628,6 +636,55 @@ class SweepExecutor:
                     False
             time.sleep(delay)
             delay = min(delay * 1.7, 0.1)
+
+    def derive(self, specs: Sequence[RunSpec], fn: Callable[[dict], Any]
+               ) -> List[Any]:
+        """``fn(payload)`` for each spec, cached as a derived entry.
+
+        Each spec's entry is looked up under :func:`derived_key` in the
+        memory and shared tiers before any payload is read, so a warm
+        hit never touches the base payload.  The specs that miss resolve
+        through :meth:`run` (parallel, deduplicated, exactly-once), and
+        ``fn`` runs once per digest with the collector paused.  Its
+        result must be JSON-able; it is stored with the base payload's
+        ``metrics``, which a hit merges as :meth:`run` would have, so
+        ``--metrics`` reads the same cold and warm.  An error payload is
+        returned in its slot (``strict`` raises) and never stored.
+        Every caller of one entry gets the same value: read-only by
+        contract.  With no cache, ``fn`` runs on every call.
+        """
+        specs = list(specs)
+        values: Dict[str, Any] = {}
+        keys: Dict[str, DerivedKey] = {}
+        missing: List[RunSpec] = []
+        for spec in specs:
+            digest = spec.digest
+            if digest in keys:
+                continue
+            key = keys[digest] = derived_key(spec, fn)
+            entry = self.cache.lookup(key) if self.cache is not None else None
+            if entry is None:
+                missing.append(spec)
+                continue
+            values[digest] = entry["value"]
+            self.sweep.unique += 1
+            self.sweep.cached += 1
+            self._emit("cache_hit", spec=spec.describe(), digest=digest)
+            if entry["metrics"]:
+                self.metrics.merge(entry["metrics"])
+        self.sweep.specs += len(specs) - len(missing)
+        for spec, payload in zip(missing, self.run(missing)):
+            if is_error_payload(payload):
+                values[spec.digest] = payload
+                continue
+            with gc_paused():
+                value = fn(payload)
+            values[spec.digest] = value
+            if self.cache is not None:
+                self.cache.store(keys[spec.digest], {
+                    "kind": KIND_DERIVED, "value": value,
+                    "metrics": payload.get("metrics")})
+        return [values[spec.digest] for spec in specs]
 
     def run_one(self, spec: RunSpec) -> dict:
         """One spec; a failure re-raises (the original exception when the

@@ -246,7 +246,8 @@ class TestStats:
 
 
 class TestReadOnlyContract:
-    """Decoded Recorders are shared, so no statistic may mutate one."""
+    """A table summary runs every statistic over one decoded Recorder,
+    so no statistic may mutate it."""
 
     @pytest.fixture(scope="class", params=[("is", 1, None), ("sp", 2, 2)],
                     ids=["is", "sp-ppn2-sampled"])
@@ -264,24 +265,30 @@ class TestReadOnlyContract:
         stat(recorder)
         assert recorder.to_dict() == before
 
-    def test_each_call_gets_its_own_app_result(self):
+    def test_summary_is_shared_and_equals_a_private_decode(self):
         from repro import runtime
-        from repro.experiments.tables import _profile_runs
+        from repro.experiments.tables import _profile_summaries
 
         runtime.reset()
         specs = [("is", "S", 4), ("cg", "S", 4)]
-        first = _profile_runs(True, specs=specs)
-        again = _profile_runs(True, specs=specs)
+        first = _profile_summaries(True, specs=specs)
+        again = _profile_summaries(True, specs=specs)
         for a, b in zip(first, again):
-            assert a is not b
-            assert a.recorder is b.recorder  # decoded once, shared
-        assert run_app("is", "S", "infiniband", 4) is not \
-            run_app("is", "S", "infiniband", 4)
+            assert a is b  # one cache entry, read-only by contract
+        assert run_app("is", "S", "infiniband", 4).recorder is not \
+            run_app("is", "S", "infiniband", 4).recorder
         runtime.configure(enabled=False)
         try:
-            plain = _profile_runs(True, specs=specs[:1])[0]
-            assert plain.recorder is not first[0].recorder
-            assert plain.recorder.to_dict() == first[0].recorder.to_dict()
+            for (app, klass, np_), summary in zip(specs, first):
+                rec = run_app(app, klass, "infiniband", np_,
+                              sample_iters=2).recorder
+                assert summary == {
+                    "sizes": message_size_histogram(rec),
+                    "nonblocking": nonblocking_stats(rec),
+                    "reuse": buffer_reuse_rate(rec),
+                    "collective": collective_stats(rec),
+                    "intranode": intranode_stats(rec)}
+            assert _profile_summaries(True, specs=specs) == first
         finally:
             runtime.reset()
 

@@ -26,8 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import runtime
-from repro.runtime import (ResultCache, RunSpec, SweepExecutor, code_salt,
-                           execute_spec, freeze_mapping, thaw_mapping)
+from repro.core.metrics import MetricsRegistry
+from repro.runtime import (ResultCache, RunSpec, SweepError, SweepExecutor,
+                           code_salt, execute_spec, freeze_mapping,
+                           is_error_payload, thaw_mapping)
+from repro.runtime.cache import DirBackend, derived_key
 
 
 @pytest.fixture(autouse=True)
@@ -196,27 +199,6 @@ class TestResultCache:
         assert cache.lookup(spec) == {"v": 1}  # re-read from disk
         assert cache.stats.disk_hits == 1
 
-    def test_decoded_once_until_the_memory_tier_goes(self, tmp_path):
-        spec = tiny_bench_spec()
-        cache = ResultCache(disk_dir=tmp_path)
-        cache.store(spec, {"v": 1})
-        calls = []
-
-        def decode(payload):
-            calls.append(payload)
-            return object()
-
-        first = cache.decoded(spec, cache.lookup(spec), decode)
-        assert cache.decoded(spec, cache.lookup(spec), decode) is first
-        assert len(calls) == 1
-        for drop in (cache.clear, cache.close):
-            drop()
-            assert cache.lookup(spec) == {"v": 1}  # payload still served
-            again = cache.decoded(spec, {"v": 1}, decode)
-            assert again is not first
-            first = again
-        assert len(calls) == 3
-
 
 class TestDecodePausesCollector:
     """Bulk decodes of cached results run with the cyclic collector
@@ -243,12 +225,12 @@ class TestDecodePausesCollector:
         cache.clear()  # drop the memory tier so lookup decodes
         seen = []
 
-        def decode(payload):
+        def derived(payload):
             seen.append(gc.isenabled())
-            return payload
+            return payload["v"]
 
-        payload = cache.lookup(spec)
-        assert cache.decoded(spec, payload, decode) == {"v": [1, True]}
+        assert SweepExecutor(cache=cache).derive([spec], derived) == \
+            [[1, True]]
         cache.close()
         assert loads_seen == [False] and seen == [False]
         assert gc.isenabled() is caller_gc
@@ -281,18 +263,21 @@ class TestDecodePausesCollector:
     def test_decode_that_raises(self, caller_gc):
         spec = tiny_bench_spec()
         cache = ResultCache()
+        cache.store(spec, {"v": 1})
         seen = []
 
-        def decode(payload):
+        def derived(payload):
             seen.append(gc.isenabled())
             raise ValueError("undecodable")
 
         with pytest.raises(ValueError, match="undecodable"):
-            cache.decoded(spec, {"v": 1}, decode)
+            SweepExecutor(cache=cache).derive([spec], derived)
         assert seen == [False]
         assert gc.isenabled() is caller_gc
-        # nothing was memoised: the next decode runs
-        assert cache.decoded(spec, {"v": 1}, lambda p: p) == {"v": 1}
+        # nothing was stored: the next derive computes
+        assert cache.lookup(derived_key(spec, derived)) is None
+        assert SweepExecutor(cache=cache).derive(
+            [spec], lambda p: p) == [{"v": 1}]
 
 
 # ----------------------------------------------------------------------
@@ -391,10 +376,118 @@ class TestRuntimeIntegration:
 
 
 # ----------------------------------------------------------------------
-# Decode-once profiling tables
+# Derived results
+# ----------------------------------------------------------------------
+#: calls of _points, with the collector's state at each
+POINTS_CALLS = []
+
+
+def _points(payload):
+    POINTS_CALLS.append(gc.isenabled())
+    return payload["points"]
+
+
+class TestDerive:
+    """``derive`` serves ``fn(payload)`` from its own cache entry."""
+
+    @pytest.fixture(autouse=True)
+    def _no_calls(self):
+        POINTS_CALLS.clear()
+
+    @staticmethod
+    def _entry_file(cache, key):
+        return cache.backend.path(key.digest)
+
+    def test_warm_hit_reads_no_base_payload(self, tmp_path, monkeypatch):
+        spec = tiny_bench_spec()
+        cold = SweepExecutor(cache=ResultCache(disk_dir=tmp_path))
+        points = cold.derive([spec, spec], _points)
+        assert points[0] is points[1] and len(POINTS_CALLS) == 1
+        entry = json.loads(self._entry_file(
+            cold.cache, derived_key(spec, _points)).read_text())
+        assert entry["kind"] == "derived" and entry["value"] == points[0]
+
+        reads = []
+        get = DirBackend.get
+        monkeypatch.setattr(DirBackend, "get", lambda backend, digest: (
+            reads.append(digest), get(backend, digest))[1])
+        warm = SweepExecutor(cache=ResultCache(disk_dir=tmp_path))
+        assert warm.derive([spec, spec], _points) == points
+        assert reads == [derived_key(spec, _points).digest]
+        assert len(POINTS_CALLS) == 1
+        assert (warm.cache.stats.hits, warm.cache.stats.misses) == (1, 0)
+        assert (warm.sweep.specs, warm.sweep.unique, warm.sweep.cached) == \
+            (2, 1, 1)
+
+    def test_changed_source_fingerprint_misses(self, tmp_path, monkeypatch):
+        import repro.runtime.cache as cache_mod
+
+        spec = tiny_bench_spec()
+        SweepExecutor(cache=ResultCache(disk_dir=tmp_path)).derive(
+            [spec], _points)
+        before = derived_key(spec, _points)
+        monkeypatch.setattr(cache_mod, "source_fingerprint",
+                            lambda module: "an edited statistic")
+        assert derived_key(spec, _points).digest != before.digest
+        cache = ResultCache(disk_dir=tmp_path)
+        SweepExecutor(cache=cache).derive([spec], _points)
+        assert len(POINTS_CALLS) == 2
+        assert cache.stats.hits == 1  # the base payload, not the summary
+        assert cache.stats.misses == 0  # nothing simulated
+        assert cache.stats.stores == 1
+
+    def test_error_payload_propagates_and_stores_nothing(self, tmp_path):
+        bad = RunSpec(kind="microbench", target="warp_speed")
+        cache = ResultCache(disk_dir=tmp_path)
+        out = SweepExecutor(cache=cache).derive([bad], _points)
+        assert is_error_payload(out[0]) and POINTS_CALLS == []
+        assert cache.stats.stores == 0
+        assert not self._entry_file(cache, derived_key(bad, _points)).exists()
+        with pytest.raises(SweepError, match="warp_speed"):
+            SweepExecutor(cache=cache, strict=True).derive([bad], _points)
+        assert cache.stats.stores == 0 and POINTS_CALLS == []
+
+    def test_disabled_cache_computes_without_storing(self):
+        runtime.configure(enabled=False)
+        spec = tiny_bench_spec()
+        first = runtime.derive([spec], _points)
+        assert runtime.derive([spec], _points) == first
+        assert POINTS_CALLS == [False, False]
+        assert runtime.get_cache() is None
+
+    def test_metrics_equal_cold_and_warm(self, tmp_path):
+        spec = tiny_app_spec()
+        # seed the payload, so the cold derive computes from a hit
+        # rather than a simulation (wall-clock counters differ)
+        SweepExecutor(cache=ResultCache(disk_dir=tmp_path)).run([spec])
+        seen = []
+        for _side in ("cold", "warm"):
+            ex = SweepExecutor(cache=ResultCache(disk_dir=tmp_path),
+                               metrics=MetricsRegistry())
+            ex.derive([spec], lambda p: p["elapsed_s"])
+            ex.derive([spec], lambda p: p["elapsed_s"])
+            seen.append((ex.metrics.to_dict(), ex.cache.stats.disk_hits))
+        (cold, cold_disk), (warm, warm_disk) = seen
+        assert cold == warm and cold["counters"]
+        assert (cold_disk, warm_disk) == (1, 1)  # base, then derived
+
+    def test_sqlite_round_trip(self, tmp_path):
+        spec = tiny_bench_spec()
+        first = SweepExecutor(cache=ResultCache(
+            disk_dir=tmp_path, backend="sqlite")).derive([spec], _points)
+        cache = ResultCache(disk_dir=tmp_path, backend="sqlite")
+        assert SweepExecutor(cache=cache).derive([spec], _points) == first
+        assert len(POINTS_CALLS) == 1
+        assert (cache.stats.hits, cache.stats.disk_hits,
+                cache.stats.misses) == (1, 1, 0)
+        cache.close()
+
+
+# ----------------------------------------------------------------------
+# Profiling tables served from per-run summaries
 # ----------------------------------------------------------------------
 #: sha256 of each quick table's rendered text, taken before the tables
-#: shared decoded Recorders
+#: read per-run summaries
 PROFILING_TABLE_SHA256 = {
     "table1": "1696af8294132bb318feec48438f6018c05de2d1ff7ea8b757ea0d8441fbcde2",
     "table3": "c06331e8a6efc98fc16284f7ef66e74b647fef3de5ba5c0f8623c1fcfb0a0900",
@@ -403,16 +496,40 @@ PROFILING_TABLE_SHA256 = {
 }
 
 
-class TestDecodeOnce:
-    """Tables 1/3/4/5 profile the same nine runs: one decode each."""
+class _CountDecodes:
+    """Count ``Recorder.from_dict`` calls inside the ``with`` block."""
+
+    def __enter__(self):
+        from repro.profiling.recorder import Recorder
+
+        self.count = 0
+        self._from_dict = from_dict = Recorder.__dict__["from_dict"]
+
+        def counting(cls, data):
+            self.count += 1
+            return from_dict.__func__(cls, data)
+
+        Recorder.from_dict = classmethod(counting)
+        return self
+
+    def __exit__(self, *exc):
+        from repro.profiling.recorder import Recorder
+
+        Recorder.from_dict = self._from_dict
+
+
+class TestDerivedTables:
+    """Tables 1/3/4/5 read one summary per profiled run."""
 
     @pytest.fixture(scope="class")
     def seeded(self, tmp_path_factory):
         disk = tmp_path_factory.mktemp("profiling-tables")
         runtime.reset(disk_dir=disk)
-        self._render()
+        with _CountDecodes() as decodes:
+            rendered = self._render()
+        misses = runtime.cache_stats().misses
         runtime.reset()
-        return disk
+        return disk, rendered, decodes.count, misses
 
     @staticmethod
     def _render():
@@ -421,32 +538,27 @@ class TestDecodeOnce:
         return {t: hashlib.sha256(run_table(t, quick=True).render().encode())
                 .hexdigest() for t in PROFILING_TABLE_SHA256}
 
-    @pytest.fixture
-    def decodes(self, monkeypatch):
-        from repro.profiling.recorder import Recorder
-
-        count = [0]
-        from_dict = Recorder.__dict__["from_dict"].__func__
-
-        def counting(cls, data):
-            count[0] += 1
-            return from_dict(cls, data)
-
-        monkeypatch.setattr(Recorder, "from_dict", classmethod(counting))
-        return count
-
-    def test_one_decode_per_spec(self, seeded, decodes):
+    def test_cold_render_decodes_each_payload_once(self, seeded):
         from repro.experiments.tables import APP_SPECS
 
-        runtime.reset(disk_dir=seeded)
-        assert self._render() == PROFILING_TABLE_SHA256
-        assert decodes[0] == len(APP_SPECS) == 9
-        assert runtime.cache_stats().misses == 0
+        _disk, rendered, decodes, misses = seeded
+        assert rendered == PROFILING_TABLE_SHA256
+        assert decodes == misses == len(APP_SPECS) == 9
 
-    def test_memo_lives_as_long_as_the_runtime(self, seeded, decodes):
-        runtime.reset(disk_dir=seeded)
-        self._render()
-        runtime.reset(disk_dir=seeded)
-        assert self._render() == PROFILING_TABLE_SHA256
-        assert decodes[0] == 18
-        assert runtime.cache_stats().misses == 0
+    def test_warm_render_reads_only_summaries(self, seeded, tmp_path):
+        import shutil
+
+        disk = tmp_path / "cache"
+        shutil.copytree(seeded[0], disk)
+        app_payloads = [path for path in disk.rglob("*.json")
+                        if json.loads(path.read_text())["kind"] == "app"]
+        assert len(app_payloads) == 9
+        for path in app_payloads:
+            path.unlink()
+        for _process in range(2):
+            runtime.reset(disk_dir=disk)
+            with _CountDecodes() as decodes:
+                assert self._render() == PROFILING_TABLE_SHA256
+            assert decodes.count == 0
+            stats = runtime.cache_stats()
+            assert (stats.hits, stats.disk_hits, stats.misses) == (36, 9, 0)
