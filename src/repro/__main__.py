@@ -10,7 +10,7 @@ Usage::
     python -m repro list                 # everything available
     python -m repro fig2 --full          # full (slow) sweep instead of quick
     python -m repro report --jobs 4      # fan simulations out over 4 workers
-    python -m repro tab2 --cache-dir .repro_cache   # persist results on disk
+    python -m repro table2 --cache-dir .repro_cache # persist results on disk
     python -m repro trace fig1 --out trace.json     # Perfetto trace export
     python -m repro trace is.S --network myrinet    # trace one app kernel
     python -m repro fig1 --metrics       # per-run counters after the artifact
@@ -30,12 +30,7 @@ Usage::
     python -m repro scale                # 16 -> 4096-rank projections, all fabrics
     python -m repro scale --network mvapich --ranks 16,64,256,1024,4096
     python -m repro scale --topology fat_tree --quick   # CI smoke variant
-    python -m repro fig1 --cache-backend sqlite --cache-dir .repro_cache
-    python -m repro serve --jobs 4 --port 8123    # warm-cache batch service
-    python -m repro submit latency@myrinet bandwidth@quadrics   # to a service
-    python -m repro submit --batch-file batch.json --payloads
-    python -m repro cache migrate --cache-dir .repro_cache   # dir -> sqlite
-    python -m repro cache stats  --cache-dir .repro_cache
+    python -m repro validate             # simulated vs. paper, per item
 
 Installed as the ``repro`` console script as well.  The simulator's own
 host-time speed is measured outside this CLI, by ``perfbench/run.py``
@@ -51,16 +46,21 @@ from repro import runtime
 from repro.experiments import FIGURES, TABLES, run_figure, run_table
 
 
+#: targets beyond figN/tableN/list, each with its arguments; both
+#: ``repro list`` and ``--help`` print these, and ``_dispatch`` runs them
+OTHER_TARGETS = ("calibration", "loggp", "sensitivity", "validate", "report",
+                 "matrix", "faults", "scale", "trace [pingpong|figN|app.class]",
+                 "bench <name>", "profile <app.class> <nprocs>",
+                 "diff <refA> <refB>")
+
+
 def _cmd_list() -> int:
     from repro.apps.classes import PROBLEMS
 
     print("figures: " + " ".join(sorted(FIGURES, key=lambda f: int(f[3:]))))
     print("tables:  " + " ".join(sorted(TABLES)))
     print("apps:    " + " ".join(sorted(PROBLEMS)))
-    print("other:   calibration  loggp  sensitivity  validate  report  "
-          "matrix  faults  scale  bench <name>  "
-          "profile <app.class> <nprocs>  diff <refA> <refB>  "
-          "serve  submit <ref...>  cache migrate|stats")
+    print("other:   " + "  ".join(OTHER_TARGETS))
     return 0
 
 
@@ -307,137 +307,13 @@ def _cmd_trace(ns) -> int:
     return 0
 
 
-def _cmd_serve(ns) -> int:
-    """``repro serve``: long-lived warm-cache batch endpoint."""
-    from repro.service.server import SweepService, serve
-
-    cache_dir = ns.cache_dir if ns.cache_dir is not None else ".repro_cache"
-    service = SweepService(cache_dir=cache_dir,
-                           cache_backend=ns.cache_backend or "sqlite",
-                           jobs=ns.jobs, timeout_s=ns.run_timeout,
-                           ledger=ns.ledger)
-    serve(service, host=ns.host, port=ns.port,
-          announce=lambda host, port: print(
-              f"repro service on http://{host}:{port} "
-              f"(backend={service.cache.backend_kind}, jobs={service.jobs}) "
-              f"— POST /batch, GET /healthz, GET /stats", flush=True))
-    return 0
-
-
-def _submit_specs(ns):
-    """Specs for ``repro submit``: run refs and/or a --batch-file."""
-    from repro.obs.diff import parse_run_ref
-    from repro.runtime.spec import RunSpec
-
-    specs = []
-    for text in ns.args:
-        try:
-            ref = parse_run_ref(text)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        options = dict(ref.options)
-        topology = options.pop("topology", None)
-        nprocs = ns.np if ns.np is not None else (4 if ref.is_app else 2)
-        if ref.is_app:
-            app, klass = ref.target.split(".", 1)
-            specs.append(RunSpec.app(app, klass, ref.network, nprocs=nprocs,
-                                     record=False, mpi_options=options or None,
-                                     topology=topology))
-        else:
-            kwargs = {}
-            if ns.size is not None:
-                kwargs["sizes"] = (ns.size,)
-            if ns.iters is not None:
-                kwargs["iters"] = ns.iters
-            specs.append(RunSpec.microbench(
-                ref.target, ref.network, nprocs=nprocs,
-                mpi_options=options or None, topology=topology, **kwargs))
-    if ns.batch_file:
-        import json
-
-        with open(ns.batch_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        items = data.get("specs") if isinstance(data, dict) else data
-        if not isinstance(items, list):
-            raise SystemExit(f"{ns.batch_file}: expected a JSON list or "
-                             '{"specs": [...]}')
-        for i, item in enumerate(items):
-            try:
-                specs.append(RunSpec.from_jsonable(item))
-            except (TypeError, ValueError) as exc:
-                raise SystemExit(f"{ns.batch_file} specs[{i}]: {exc}") from None
-    if not specs:
-        raise SystemExit("submit needs run refs (target@network[:k=v,...]) "
-                         "and/or --batch-file FILE")
-    return specs
-
-
-def _cmd_submit(ns) -> int:
-    """``repro submit``: send a batch to a running service, stream results."""
-    import json
-
-    from repro.service.client import ServiceError, iter_batch
-
-    specs = _submit_specs(ns)
-    try:
-        for record in iter_batch(specs, host=ns.host, port=ns.port):
-            if record.get("done"):
-                print(f"done: {record['count']} spec(s), "
-                      f"{record['errors']} error(s) — {record['sweep']}")
-            elif ns.payloads:
-                print(json.dumps(record, separators=(",", ":")))
-            else:
-                status = "ERROR" if record.get("error") else "ok"
-                print(f"[{record['index']}] {status} {record['spec']} "
-                      f"payload={record['payload_digest']}")
-    except ServiceError as exc:
-        raise SystemExit(f"service error: {exc}") from None
-    except ConnectionError as exc:
-        raise SystemExit(f"cannot reach service at "
-                         f"{ns.host}:{ns.port} ({exc})") from None
-    return 0
-
-
-def _cmd_cache(ns) -> int:
-    """``repro cache migrate|stats``: shared-tier maintenance."""
-    import json
-    from pathlib import Path
-
-    from repro.runtime.sqlite_cache import SqliteBackend, migrate_dir_tier
-
-    action = ns.args[0] if ns.args else "stats"
-    root = Path(ns.cache_dir if ns.cache_dir is not None else ".repro_cache")
-    if action == "migrate":
-        if not root.is_dir():
-            raise SystemExit(f"no cache directory at {root}")
-        moved = migrate_dir_tier(root)
-        print(f"migrated {moved} result(s) from the dir tier into "
-              f"{root / 'cache.sqlite'}")
-        return 0
-    if action == "stats":
-        db = root if root.suffix in (".sqlite", ".db") else root / "cache.sqlite"
-        if not db.is_file():
-            raise SystemExit(f"no sqlite cache at {db} "
-                             "(run `repro cache migrate` or use "
-                             "`--cache-backend sqlite`)")
-        backend = SqliteBackend(root)
-        try:
-            print(json.dumps(backend.summary(), indent=2, sort_keys=True))
-        finally:
-            backend.close()
-        return 0
-    raise SystemExit(f"unknown cache action {action!r} (migrate | stats)")
-
-
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the requested artifact."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate artifacts from Liu et al. (SC'03) in simulation.")
-    parser.add_argument("target", help="figN | tableN | calibration | loggp | "
-                                       "sensitivity | profile | trace | "
-                                       "matrix | faults | scale | "
-                                       "bench | list")
+    parser.add_argument("target", help=" | ".join(
+        ["figN", "tableN"] + [t.split()[0] for t in OTHER_TARGETS] + ["list"]))
     parser.add_argument("args", nargs="*", help="extra arguments (profile: "
                                                 "app.class nprocs; trace: "
                                                 "pingpong | figN | app.class; "
@@ -457,25 +333,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="also persist results on disk under DIR "
                              "(convention: .repro_cache)")
-    parser.add_argument("--cache-backend", default=None, metavar="KIND",
-                        choices=("dir", "sqlite"), dest="cache_backend",
-                        help="shared cache tier: 'dir' (sharded JSON files, "
-                             "default) or 'sqlite' (one WAL database with "
-                             "LRU eviction + cross-process in-flight dedup); "
-                             "also via $REPRO_CACHE_BACKEND")
-    parser.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                        help="serve/submit: service address "
-                             "(default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8123, metavar="N",
-                        help="serve/submit: service TCP port (default: 8123; "
-                             "serve accepts 0 for an ephemeral port)")
-    parser.add_argument("--batch-file", default=None, metavar="FILE",
-                        dest="batch_file",
-                        help="submit: JSON file with a RunSpec batch "
-                             "(a list or {\"specs\": [...]})")
-    parser.add_argument("--payloads", action="store_true",
-                        help="submit: print full NDJSON records (payloads "
-                             "included) instead of one summary line per spec")
     parser.add_argument("--metrics", action="store_true",
                         help="print the aggregated per-run metrics registry "
                              "after the artifact")
@@ -545,16 +402,15 @@ def main(argv=None) -> int:
                              "default: scale uses each fabric's native "
                              "multi-stage topology)")
     # intermixed parsing so flags may precede trailing run refs
-    # (`repro submit --port N latency@myrinet ...`)
+    # (`repro diff --size N latency@myrinet latency@quadrics`)
     ns = parser.parse_intermixed_args(argv)
 
     runtime.configure(jobs=ns.jobs, enabled=not ns.no_cache,
                       disk_dir=ns.cache_dir, timeout_s=ns.run_timeout,
-                      ledger=ns.ledger, progress=True if ns.progress else None,
-                      cache_backend=ns.cache_backend)
+                      ledger=ns.ledger, progress=True if ns.progress else None)
 
     rc = _dispatch(ns, parser)
-    if ns.target.lower() not in ("list", "serve", "submit", "cache"):
+    if ns.target.lower() != "list":
         if ns.metrics:
             print()
             reg = runtime.metrics()
@@ -591,12 +447,6 @@ def _dispatch(ns, parser) -> int:
         return _cmd_bench(ns)
     if t == "diff":
         return _cmd_diff(ns)
-    if t == "serve":
-        return _cmd_serve(ns)
-    if t == "submit":
-        return _cmd_submit(ns)
-    if t == "cache":
-        return _cmd_cache(ns)
     if t == "faults":
         from repro.experiments.degradation import degradation_report
 

@@ -19,7 +19,6 @@ stream lives in a side file and never inside cached payloads.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from pathlib import Path
 from typing import List, Optional, Union
@@ -30,15 +29,9 @@ __all__ = ["LEDGER_SCHEMA", "EVENTS", "REQUIRED_FIELDS", "RunLedger",
 #: bump when the line layout changes incompatibly
 LEDGER_SCHEMA = 1
 
-#: every event type the executor emits.  ``claim_won`` /
-#: ``claim_waited`` / ``served`` trace the cross-process in-flight
-#: dedup protocol: a digest is *claimed* before execution, losers wait,
-#: and a waited result adopted from the winner's shared-tier write is
-#: *served* (so `grep -c run_started` counts simulations that actually
-#: ran, however many clients asked for them).
+#: every event type the executor emits
 EVENTS = ("sweep_started", "cache_hit", "run_started", "run_finished",
-          "run_error", "claim_won", "claim_waited", "served",
-          "sweep_finished")
+          "run_error", "sweep_finished")
 
 #: per-event required fields (beyond the envelope: schema, event, ts)
 REQUIRED_FIELDS = {
@@ -47,25 +40,16 @@ REQUIRED_FIELDS = {
     "run_started": ("spec", "digest"),
     "run_finished": ("spec", "digest", "wall_s"),
     "run_error": ("spec", "digest", "wall_s", "type"),
-    "claim_won": ("spec", "digest"),
-    "claim_waited": ("spec", "digest"),
-    "served": ("spec", "digest"),
     "sweep_finished": ("executed", "errors", "wall_s"),
 }
 
 
 class RunLedger:
-    """Append-only JSONL event stream (opened lazily, flushed per line).
-
-    Emits are serialized by a lock so the service front-end can share
-    one ledger across concurrent connection handlers without
-    interleaving half-written lines.
-    """
+    """Append-only JSONL event stream (opened lazily, flushed per line)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = str(path)
         self._fh = None
-        self._lock = threading.Lock()
 
     def emit(self, event: str, **fields) -> None:
         if event not in EVENTS:
@@ -74,17 +58,15 @@ class RunLedger:
                   "ts": round(time.time(), 3)}
         record.update(fields)
         line = json.dumps(record, separators=(",", ":"), default=str) + "\n"
-        with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(line)
-            self._fh.flush()
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(line)
+        self._fh.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "RunLedger":
         return self
@@ -158,13 +140,10 @@ def summarize_ledger(records: List[dict]) -> str:
     finished = [r for r in records if r.get("event") == "run_finished"]
     errored = [r for r in records if r.get("event") == "run_error"]
     hits = sum(1 for r in records if r.get("event") == "cache_hit")
-    served = sum(1 for r in records if r.get("event") == "served")
     wall = sum(float(r.get("wall_s", 0.0)) for r in finished + errored)
-    line = (f"{len(records)} events: {len(finished)} runs finished, "
-            f"{len(errored)} failed, {hits} cache hits, ")
-    if served:
-        line += f"{served} peer-served, "
-    return line + f"{wall:.2f}s simulated wall"
+    return (f"{len(records)} events: {len(finished)} runs finished, "
+            f"{len(errored)} failed, {hits} cache hits, "
+            f"{wall:.2f}s simulated wall")
 
 
 def _main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover

@@ -37,8 +37,8 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.core.metrics import MetricsRegistry
 from repro.obs.ledger import RunLedger
-from repro.runtime.cache import (BACKENDS, DEFAULT_CACHE_DIR, CacheStats,
-                                 ResultCache, code_salt)
+from repro.runtime.cache import (DEFAULT_CACHE_DIR, CacheStats, ResultCache,
+                                 code_salt)
 from repro.runtime.executor import (SpecExecutionError, SweepError,
                                     SweepExecutor, SweepStats, execute_spec,
                                     is_error_payload)
@@ -50,7 +50,7 @@ __all__ = [
     "SweepError", "SpecExecutionError", "SweepStats", "is_error_payload",
     "execute_spec", "configure", "reset", "run_spec", "run_specs", "derive",
     "get_cache", "get_executor", "cache_stats", "metrics", "sweep_stats",
-    "DEFAULT_CACHE_DIR", "BACKENDS", "SPEC_SCHEMA_VERSION", "code_salt",
+    "DEFAULT_CACHE_DIR", "SPEC_SCHEMA_VERSION", "code_salt",
     "freeze_mapping", "thaw_mapping",
 ]
 
@@ -79,18 +79,13 @@ def configure(jobs: Optional[int] = None, enabled: Optional[bool] = None,
               strict: Optional[bool] = None,
               ledger: Optional[Union[str, Path, RunLedger]] = None,
               progress: Optional[Union[bool, Callable[[str], None]]] = None,
-              cache_backend: Optional[str] = None,
               ) -> None:
     """Adjust the process-wide executor.
 
     ``jobs``: worker count for subsequent sweeps (1 = serial).
     ``enabled``: False drops the cache entirely (every spec re-simulates).
     ``disk_dir``: a path (or True for ``.repro_cache/``) enables the
-    shared cache tier; existing in-memory entries are kept.
-    ``cache_backend``: shared-tier kind — ``"dir"`` (sharded JSON files,
-    the default) or ``"sqlite"`` (one WAL database with eviction and
-    in-flight claims); defaults to ``$REPRO_CACHE_BACKEND``.  Selecting
-    ``sqlite`` without a ``disk_dir`` uses ``.repro_cache/``.
+    disk cache tier; existing in-memory entries are kept.
     ``timeout_s``: per-spec wall-clock budget (``--run-timeout``).
     ``strict``: re-raise sweep failures instead of returning error payloads.
     ``ledger``: a path (or open :class:`~repro.obs.ledger.RunLedger`) to
@@ -107,14 +102,10 @@ def configure(jobs: Optional[int] = None, enabled: Optional[bool] = None,
         elif _state["cache"] is None:
             _state["cache"] = ResultCache()
     cache = _state["cache"]
-    if cache is not None and (disk_dir is not None or cache_backend is not None):
-        if disk_dir is True or (disk_dir is None and cache_backend == "sqlite"
-                                and cache.disk_dir is None):
+    if cache is not None and disk_dir is not None:
+        if disk_dir is True:
             disk_dir = DEFAULT_CACHE_DIR
-        if cache_backend is not None:
-            cache.set_backend(cache_backend, disk_dir=disk_dir)
-        elif disk_dir is not None:
-            cache.disk_dir = Path(disk_dir)
+        cache.disk_dir = Path(disk_dir)
     if timeout_s is not None:
         _state["timeout_s"] = float(timeout_s) if timeout_s > 0 else None
     if strict is not None:
@@ -135,16 +126,11 @@ def configure(jobs: Optional[int] = None, enabled: Optional[bool] = None,
 
 
 def reset(jobs: int = 1, enabled: bool = True,
-          disk_dir: Optional[Union[str, Path]] = None,
-          cache_backend: Optional[str] = None) -> None:
+          disk_dir: Optional[Union[str, Path]] = None) -> None:
     """Fresh runtime state (empty cache, zeroed stats) — used by tests."""
     _invalidate_executor()
-    old_cache = _state["cache"]
-    if old_cache is not None:
-        old_cache.close()
     _state["jobs"] = max(1, int(jobs))
-    _state["cache"] = (ResultCache(disk_dir=disk_dir, backend=cache_backend)
-                       if enabled else None)
+    _state["cache"] = ResultCache(disk_dir=disk_dir) if enabled else None
     _state["metrics"] = MetricsRegistry()
     _state["timeout_s"] = None
     _state["strict"] = False

@@ -6,23 +6,10 @@ model never serves stale numbers.  Tiers:
 
 - **in-memory** — always on; this is what deduplicates the repeated
   class-B NAS runs across figure and table drivers in one process;
-- **shared** — optional, pluggable (:data:`BACKENDS`), surviving across
-  processes and CLI invocations:
-
-  - ``dir``  — one JSON file per result under
-    ``<dir>/<salt>/<digest[:2]>/<digest>.json`` (2-hex-prefix shards so
-    huge sweep caches never degrade into one giant directory scan;
-    ``repro cache migrate`` still reads the pre-shard flat layout);
-  - ``sqlite`` — a single WAL-mode database
-    (:mod:`repro.runtime.sqlite_cache`) with safe concurrent
-    readers/writers, LRU eviction and a cross-process in-flight claim
-    table — the warm tier behind ``repro serve``.
-
-The backend is selected per :class:`ResultCache` (``backend=``), by the
-CLI (``--cache-backend``) or by the ``REPRO_CACHE_BACKEND`` environment
-variable; ``dir`` remains the default and both backends key payloads by
-the identical ``(salt, digest)`` pair, so they are interchangeable views
-of the same content-addressed space.
+- **disk** — optional (``disk_dir=`` / ``--cache-dir``), surviving
+  across processes and CLI invocations: one JSON file per result under
+  ``<dir>/<salt>/<digest[:2]>/<digest>.json`` (2-hex-prefix shards so
+  huge sweep caches never degrade into one giant directory scan).
 
 Both tiers also hold *derived entries*: a value computed from one
 payload (the profiling tables' per-run summary), keyed by a
@@ -46,17 +33,10 @@ from repro.core.engine import gc_paused
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
 __all__ = ["CacheStats", "ResultCache", "DirBackend", "DEFAULT_CACHE_DIR",
-           "BACKENDS", "code_salt", "make_backend", "DerivedKey",
-           "derived_key", "source_fingerprint"]
+           "code_salt", "DerivedKey", "derived_key", "source_fingerprint"]
 
 #: conventional on-disk location (relative to the working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: selectable shared-tier kinds (``--cache-backend`` / REPRO_CACHE_BACKEND)
-BACKENDS = ("dir", "sqlite")
-
-#: environment override for the default backend kind
-BACKEND_ENV = "REPRO_CACHE_BACKEND"
 
 
 def code_salt() -> str:
@@ -65,15 +45,6 @@ def code_salt() -> str:
     from repro import __version__
 
     return f"repro-{__version__}-s{SPEC_SCHEMA_VERSION}"
-
-
-def default_backend_kind() -> str:
-    """Backend kind from ``REPRO_CACHE_BACKEND`` (default: ``dir``)."""
-    kind = os.environ.get(BACKEND_ENV, "").strip().lower() or "dir"
-    if kind not in BACKENDS:
-        raise ValueError(f"unknown cache backend {kind!r} "
-                         f"(from ${BACKEND_ENV}); know {BACKENDS}")
-    return kind
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,8 +97,7 @@ class CacheStats:
 
     Beyond the counters, every :meth:`ResultCache.lookup` records its
     wall-clock latency so the trailer (and the ledger's
-    ``sweep_finished`` event) can report p50/p95 lookup cost per tier —
-    the number the warm-cache service is judged by.
+    ``sweep_finished`` event) can report p50/p95 lookup cost.
     """
 
     hits: int = 0
@@ -135,8 +105,6 @@ class CacheStats:
     stores: int = 0
     disk_hits: int = 0
     corrupt: int = 0
-    evictions: int = 0
-    served: int = 0             #: results adopted from a peer's claim
     lookup_us: List[float] = field(default_factory=list, repr=False)
 
     #: bound on retained latency samples (drop-oldest beyond this)
@@ -148,7 +116,7 @@ class CacheStats:
 
     @property
     def mem_hits(self) -> int:
-        """Hits served by the in-memory tier (no disk/db involved)."""
+        """Hits served by the in-memory tier (no disk read)."""
         return self.hits - self.disk_hits
 
     def record_lookup(self, elapsed_us: float) -> None:
@@ -167,14 +135,13 @@ class CacheStats:
 
     def reset(self) -> None:
         self.hits = self.misses = self.stores = self.disk_hits = 0
-        self.corrupt = self.evictions = self.served = 0
+        self.corrupt = 0
         self.lookup_us = []
 
     def as_dict(self) -> dict:
         out = {"hits": self.hits, "misses": self.misses,
                "stores": self.stores, "disk_hits": self.disk_hits,
-               "mem_hits": self.mem_hits, "corrupt": self.corrupt,
-               "evictions": self.evictions, "served": self.served}
+               "mem_hits": self.mem_hits, "corrupt": self.corrupt}
         p50, p95 = self.percentile_us(0.5), self.percentile_us(0.95)
         if p50 is not None:
             out["lookup_p50_us"] = round(p50, 1)
@@ -188,10 +155,6 @@ class CacheStats:
         if p50 is not None:
             base += (f", lookup p50 {p50 / 1000.0:.3f}ms "
                      f"p95 {self.percentile_us(0.95) / 1000.0:.3f}ms")
-        if self.served:
-            base += f", {self.served} peer-served"
-        if self.evictions:
-            base += f", {self.evictions} evicted"
         if self.corrupt:
             base += f", {self.corrupt} corrupt quarantined"
         return base
@@ -202,9 +165,6 @@ class DirBackend:
 
     Files live under ``<root>/<salt>/<digest[:2]>/<digest>.json``.
     """
-
-    kind = "dir"
-    supports_claims = False
 
     def __init__(self, root: Union[str, Path], salt: str,
                  stats: Optional[CacheStats] = None) -> None:
@@ -258,120 +218,39 @@ class DirBackend:
                 os.unlink(tmp)
             raise
 
-    def close(self) -> None:
-        pass
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DirBackend {self.root}>"
 
 
-def make_backend(kind: Optional[str], root: Union[str, Path], salt: str,
-                 stats: Optional[CacheStats] = None, **options):
-    """Build a shared-tier backend of ``kind`` rooted at ``root``.
-
-    ``kind=None`` resolves through ``REPRO_CACHE_BACKEND`` (default
-    ``dir``).  ``options`` are backend-specific (sqlite: ``max_bytes``,
-    ``max_age_s``, ``claim_stale_s``).
-    """
-    kind = kind or default_backend_kind()
-    if kind == "dir":
-        return DirBackend(root, salt, stats=stats)
-    if kind == "sqlite":
-        from repro.runtime.sqlite_cache import SqliteBackend
-
-        return SqliteBackend(root, salt, stats=stats, **options)
-    raise ValueError(f"unknown cache backend {kind!r}; know {BACKENDS}")
-
-
 class ResultCache:
-    """Digest-keyed payload store: in-memory tier + optional shared tier.
+    """Digest-keyed payload store: in-memory tier + optional disk tier.
 
-    ``disk_dir`` selects the shared tier's root (None = memory only);
-    ``backend`` picks its kind (``"dir"`` | ``"sqlite"`` | a prebuilt
-    backend instance), defaulting to ``REPRO_CACHE_BACKEND`` or the
-    sharded-directory tier.  The historical ``cache.disk_dir = path``
-    assignment keeps working: it (re)builds a backend of the configured
-    kind at the new root.
+    ``disk_dir`` roots the disk tier (None = memory only); assigning
+    ``cache.disk_dir = path`` later (re)builds it at the new root.
     """
 
     def __init__(self, disk_dir: Optional[Union[str, Path]] = None,
-                 salt: Optional[str] = None,
-                 backend: Union[str, object, None] = None,
-                 **backend_options) -> None:
+                 salt: Optional[str] = None) -> None:
         self.salt = salt if salt is not None else code_salt()
         self._mem: dict = {}
         self.stats = CacheStats()
-        self._backend = None
-        self._backend_kind: Optional[str] = None
-        self._backend_options = backend_options
-        if backend is not None and not isinstance(backend, str):
-            # prebuilt backend instance: adopt it (and share our stats)
-            backend.stats = self.stats
-            self._backend = backend
-            self._backend_kind = getattr(backend, "kind", "custom")
-        else:
-            self._backend_kind = backend
-            if disk_dir is not None:
-                self.disk_dir = Path(disk_dir)
+        self._backend: Optional[DirBackend] = None
+        if disk_dir is not None:
+            self.disk_dir = Path(disk_dir)
 
-    # -- shared-tier plumbing ------------------------------------------
     @property
-    def backend(self):
-        """The shared-tier backend instance, or None (memory only)."""
+    def backend(self) -> Optional[DirBackend]:
+        """The disk tier, or None (memory only)."""
         return self._backend
 
     @property
-    def backend_kind(self) -> Optional[str]:
-        """Kind of the *active* shared tier (None while memory-only)."""
-        return getattr(self._backend, "kind", None)
-
-    @property
     def disk_dir(self) -> Optional[Path]:
-        root = getattr(self._backend, "root", None)
-        return Path(root) if root is not None else None
+        return self._backend.root if self._backend is not None else None
 
     @disk_dir.setter
     def disk_dir(self, value: Optional[Union[str, Path]]) -> None:
-        if value is None:
-            self._close_backend()
-            self._backend = None
-            return
-        self._close_backend()
-        self._backend = make_backend(self._backend_kind, Path(value),
-                                     self.salt, stats=self.stats,
-                                     **self._backend_options)
-
-    def set_backend(self, kind: str,
-                    disk_dir: Optional[Union[str, Path]] = None,
-                    **options) -> None:
-        """Switch the shared tier to ``kind`` (rebuilding at the current
-        root, or at ``disk_dir`` when given)."""
-        if kind not in BACKENDS:
-            raise ValueError(f"unknown cache backend {kind!r}; "
-                             f"know {BACKENDS}")
-        root = Path(disk_dir) if disk_dir is not None else self.disk_dir
-        self._backend_kind = kind
-        if options:
-            self._backend_options = options
-        if root is not None:
-            self.disk_dir = root
-
-    def _close_backend(self) -> None:
-        if self._backend is not None:
-            self._backend.close()
-
-    @property
-    def claims(self):
-        """The backend's claim table, when it has one (sqlite), else None."""
-        backend = self._backend
-        if backend is not None and getattr(backend, "supports_claims", False):
-            return backend
-        return None
-
-    def _path(self, digest: str) -> Path:
-        """Sharded on-disk location (dir backend only; kept for tests)."""
-        assert isinstance(self._backend, DirBackend)
-        return self._backend.path(digest)
+        self._backend = (None if value is None else
+                         DirBackend(value, self.salt, stats=self.stats))
 
     # ------------------------------------------------------------------
     def lookup(self, spec: Union[RunSpec, DerivedKey]) -> Optional[dict]:
@@ -397,31 +276,12 @@ class ResultCache:
         self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
         return None
 
-    def peek(self, spec: RunSpec) -> Optional[dict]:
-        """Shared-tier-only read with no hit/miss accounting.
-
-        Used by claim waiters polling for a peer's result: the poll
-        loop must not inflate miss counters or latency samples.
-        """
-        payload = self._mem.get(spec.digest)
-        if payload is not None:
-            return payload
-        if self._backend is None:
-            return None
-        return self._backend.get(spec.digest)
-
     def store(self, spec: Union[RunSpec, DerivedKey], payload: dict) -> None:
         digest = spec.digest
         self._mem[digest] = payload
         self.stats.stores += 1
         if self._backend is not None:
             self._backend.put(digest, payload)
-
-    def adopt(self, spec: RunSpec, payload: dict) -> None:
-        """Install a payload obtained from a peer (memory tier only —
-        the peer already wrote the shared tier)."""
-        self._mem[spec.digest] = payload
-        self.stats.served += 1
 
     # ------------------------------------------------------------------
     def __contains__(self, spec: RunSpec) -> bool:
@@ -431,18 +291,13 @@ class ResultCache:
         return len(self._mem)
 
     def clear(self, stats: bool = True) -> None:
-        """Drop in-memory entries (the shared tier is left alone)."""
+        """Drop in-memory entries (the disk tier is left alone)."""
         self._mem.clear()
         if stats:
             self.stats.reset()
 
-    def close(self) -> None:
-        """Release backend resources (db connections); the memory tier
-        stays."""
-        self._close_backend()
-
     def __repr__(self) -> str:  # pragma: no cover
         where = ""
         if self._backend is not None:
-            where = f" {self.backend_kind}={self.disk_dir}"
+            where = f" dir={self.disk_dir}"
         return f"<ResultCache {len(self._mem)} entries{where} [{self.stats}]>"

@@ -25,12 +25,10 @@ from __future__ import annotations
 import functools
 import inspect
 import multiprocessing
-import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import gc_paused
 from repro.core.metrics import MetricsRegistry
@@ -267,19 +265,8 @@ class SweepStats:
     unique: int = 0         #: distinct digests among them
     executed: int = 0       #: simulated successfully this run
     cached: int = 0         #: served from the result cache
-    served: int = 0         #: adopted from a concurrent peer's execution
     errors: int = 0         #: resolved to error payloads
     wall_s: float = 0.0     #: summed per-spec wall time (simulated only)
-
-    def merge(self, other: "SweepStats") -> None:
-        """Fold another executor's counters in (service-wide totals)."""
-        self.specs += other.specs
-        self.unique += other.unique
-        self.executed += other.executed
-        self.cached += other.cached
-        self.served += other.served
-        self.errors += other.errors
-        self.wall_s += other.wall_s
 
     def line(self) -> str:
         """One-line human summary (the ``sweep:`` trailer of the CLI)."""
@@ -290,42 +277,9 @@ class SweepStats:
                          f"wall (mean {mean:.2f}s)")
         if self.cached:
             parts.append(f"{self.cached} cache-served")
-        if self.served:
-            parts.append(f"{self.served} peer-served")
         if self.errors:
             parts.append(f"{self.errors} FAILED")
         return ", ".join(parts)
-
-
-class _ClaimHeartbeat(threading.Thread):
-    """Background heartbeat on held claims while their specs execute.
-
-    The executor's main thread blocks in the pool's ``imap`` while
-    simulations run, so it cannot refresh claim heartbeats itself; this
-    daemon thread keeps the claims visibly alive so waiters never
-    mistake a long simulation for a crashed winner.
-    """
-
-    def __init__(self, claims, digests, interval_s: Optional[float] = None
-                 ) -> None:
-        super().__init__(daemon=True, name="repro-claim-heartbeat")
-        self.claims = claims
-        self.digests = tuple(digests)
-        stale = getattr(claims, "claim_stale_s", 60.0)
-        self.interval_s = interval_s if interval_s is not None \
-            else max(0.05, stale / 4.0)
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:
-        while not self._stop_event.wait(self.interval_s):
-            try:
-                self.claims.heartbeat_claims(self.digests)
-            except Exception:  # pragma: no cover - db teardown race
-                return
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        self.join(timeout=5.0)
 
 
 class SweepExecutor:
@@ -343,14 +297,6 @@ class SweepExecutor:
     being deterministic — parallel payloads are identical to serial
     ones.
 
-    When the cache's shared tier has a claim table (the SQLite backend),
-    concurrent executors in *different* processes (or threads) dedup
-    in-flight work: each pending digest is claimed before execution, and
-    an executor that loses the claim polls the shared tier for the
-    winner's result instead of re-simulating (``claim_won`` /
-    ``claim_waited`` / ``served`` ledger events).  A crashed winner's
-    claim goes stale and is taken over, so a waiter never wedges.
-
     A failing spec yields an error payload (see :func:`is_error_payload`)
     in its slot instead of aborting the sweep; pass ``strict=True`` to
     re-raise a :class:`SweepError` after the survivors finish.
@@ -361,8 +307,7 @@ class SweepExecutor:
     - ``ledger`` — a :class:`repro.obs.ledger.RunLedger`; every sweep
       emits structured JSONL lifecycle events (``sweep_started``,
       ``cache_hit``, ``run_started``, ``run_finished``, ``run_error``,
-      ``claim_won``, ``claim_waited``, ``served``, ``sweep_finished``)
-      with spec digests and wall durations.
+      ``sweep_finished``) with spec digests and wall durations.
     - ``progress`` — a callable taking one string; called with a short
       live line per resolved spec.
     - ``sweep`` — a :class:`SweepStats` to accumulate into (the runtime
@@ -431,130 +376,60 @@ class SweepExecutor:
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[dict]:
-        specs = list(specs)
-        out: List[Optional[dict]] = [None] * len(specs)
-        for index, _spec, payload in self.run_iter(specs):
-            out[index] = payload
-        return out  # type: ignore[return-value]
-
-    def run_iter(self, specs: Sequence[RunSpec]
-                 ) -> Iterator[Tuple[int, RunSpec, dict]]:
-        """Yield ``(index, spec, payload)`` as each spec resolves.
-
-        Cache hits stream out immediately; executed specs stream as
-        they finish; claim-waited specs stream as the winning peer's
-        results land in the shared tier.  Every input index is yielded
-        exactly once (duplicate specs resolve together, the moment
-        their digest does).  This is the primitive the NDJSON service
-        front-end streams from.
-        """
+        """Payloads aligned with ``specs``; each unique digest is looked
+        up once and, on a miss, simulated once."""
         specs = list(specs)
         sweep = self.sweep
         sweep.specs += len(specs)
+        out: List[Optional[dict]] = [None] * len(specs)
         indexes: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
             indexes.setdefault(spec.digest, []).append(i)
-        resolved: Dict[str, dict] = {}
         pending: List[RunSpec] = []
-        seen_pending = set()
-        for spec in specs:
-            digest = spec.digest
-            if digest in resolved or digest in seen_pending:
-                continue
+        for digest, where in indexes.items():
+            spec = specs[where[0]]
             payload = self.cache.lookup(spec) if self.cache is not None else None
-            if payload is not None:
-                resolved[digest] = payload
-                sweep.cached += 1
-                self._emit("cache_hit", spec=spec.describe(), digest=digest)
-                yield from self._resolve(specs, indexes, spec, payload)
-            else:
+            if payload is None:
                 pending.append(spec)
-                seen_pending.add(digest)
-        sweep.unique += len(resolved) + len(pending)
+                continue
+            sweep.cached += 1
+            self._emit("cache_hit", spec=spec.describe(), digest=digest)
+            self._resolve(out, where, payload)
+        sweep.unique += len(indexes)
         errors: List[dict] = []
         if pending:
-            claims = self.cache.claims if self.cache is not None else None
-            owned, waiting = pending, []
-            if claims is not None:
-                missing = pending
-                owned, pending = [], []
-                for spec in missing:
-                    if claims.try_claim(spec.digest):
-                        # a winner may have stored + released between our
-                        # cache miss and this claim; store happens-before
-                        # release, so one re-check closes the race and
-                        # keeps execution exactly-once
-                        payload = self.cache.peek(spec)
-                        if payload is not None \
-                                and not is_error_payload(payload):
-                            claims.release_claim(spec.digest)
-                            self.cache.adopt(spec, payload)
-                            resolved[spec.digest] = payload
-                            sweep.cached += 1
-                            self._emit("cache_hit", spec=spec.describe(),
-                                       digest=spec.digest)
-                            yield from self._resolve(specs, indexes, spec,
-                                                     payload)
-                            continue
-                        owned.append(spec)
-                        pending.append(spec)
-                        self._emit("claim_won", spec=spec.describe(),
-                                   digest=spec.digest)
-                    else:
-                        waiting.append(spec)
-                        pending.append(spec)
-                        self._emit("claim_waited", spec=spec.describe(),
-                                   digest=spec.digest)
             self._emit("sweep_started", specs=len(specs),
-                       unique=len(resolved) + len(pending),
-                       cached=len(resolved), pending=len(pending),
-                       jobs=self.jobs, waiting=len(waiting))
+                       unique=len(indexes), cached=len(indexes) - len(pending),
+                       pending=len(pending), jobs=self.jobs)
             t_sweep = time.perf_counter()
-            heartbeat = None
-            if claims is not None and owned:
-                heartbeat = _ClaimHeartbeat(
-                    claims, (s.digest for s in owned))
-                heartbeat.start()
-            try:
-                done = 0
-                for spec, payload in self._iter_execute(owned):
-                    done += 1
-                    payload = self._complete(spec, payload, errors, claims,
-                                             done, len(owned))
-                    resolved[spec.digest] = payload
-                    yield from self._resolve(specs, indexes, spec, payload)
-            finally:
-                if heartbeat is not None:
-                    heartbeat.stop()
-            peer_served = 0
-            for spec in waiting:
-                payload, from_peer = self._await_peer(spec, claims, errors)
-                peer_served += 1 if from_peer else 0
-                resolved[spec.digest] = payload
-                yield from self._resolve(specs, indexes, spec, payload)
-            finish = {"executed": len(pending) - peer_served - len(errors),
+            for done, (spec, payload) in enumerate(
+                    self._iter_execute(pending), start=1):
+                payload = self._complete(spec, payload, errors, done,
+                                         len(pending))
+                self._resolve(out, indexes[spec.digest], payload)
+            finish = {"executed": len(pending) - len(errors),
                       "errors": len(errors),
                       "wall_s": round(time.perf_counter() - t_sweep, 4)}
-            if waiting:
-                finish["waited"] = len(waiting)
             if self.cache is not None:
                 finish["cache"] = self.cache.stats.as_dict()
             self._emit("sweep_finished", **finish)
         if errors and self.strict:
             raise SweepError(errors)
+        return out  # type: ignore[return-value]
 
-    def _resolve(self, specs, indexes, spec, payload):
-        """Yield every input index of ``spec``'s digest, merging metrics
-        once per unique digest."""
+    def _resolve(self, out: List[Optional[dict]], slots: List[int],
+                 payload: dict) -> None:
+        """Put one digest's payload in all its ``slots``, merging its
+        metrics once."""
         if not is_error_payload(payload):
             m = payload.get("metrics")
             if m:
                 self.metrics.merge(m)
-        for index in indexes[spec.digest]:
-            yield index, specs[index], payload
+        for index in slots:
+            out[index] = payload
 
     def _complete(self, spec: RunSpec, payload: dict, errors: List[dict],
-                  claims, pos: int, total: int) -> dict:
+                  pos: int, total: int) -> dict:
         """Post-execution bookkeeping for one simulated spec."""
         elapsed = payload.pop("_elapsed_s", 0.0)
         tag = f"[{pos}/{total}]"
@@ -589,60 +464,14 @@ class SweepExecutor:
                        **summary)
             self._progress(f"{tag} done {spec.describe()} "
                            f"({elapsed:.2f}s)")
-        if claims is not None:
-            claims.release_claim(spec.digest)
         return payload
-
-    def _await_peer(self, spec: RunSpec, claims, errors: List[dict]
-                    ) -> Tuple[dict, bool]:
-        """Resolve a claim-lost spec: poll for the winner's result.
-
-        Backs off exponentially between polls.  If the claim frees
-        without a result (the winner failed or crashed — stale claims
-        are taken over), we claim and execute the spec ourselves, so
-        overlapping batches always drain.  Returns ``(payload, True)``
-        when the result came from the peer, ``(payload, False)`` when
-        we ended up executing it locally.
-        """
-        delay = 0.002
-        while True:
-            payload = self.cache.peek(spec)
-            if payload is not None and not is_error_payload(payload):
-                self.cache.adopt(spec, payload)
-                self.sweep.served += 1
-                self._emit("served", spec=spec.describe(), digest=spec.digest)
-                self._progress(f"served {spec.describe()} (peer result)")
-                return payload, True
-            if claims.try_claim(spec.digest):
-                # same re-check as run_iter: the winner may have stored
-                # and released between our peek and this claim
-                payload = self.cache.peek(spec)
-                if payload is not None and not is_error_payload(payload):
-                    claims.release_claim(spec.digest)
-                    self.cache.adopt(spec, payload)
-                    self.sweep.served += 1
-                    self._emit("served", spec=spec.describe(),
-                               digest=spec.digest)
-                    self._progress(f"served {spec.describe()} (peer result)")
-                    return payload, True
-                # winner vanished without a result: execute it ourselves
-                self._emit("claim_won", spec=spec.describe(),
-                           digest=spec.digest)
-                self._emit("run_started", spec=spec.describe(),
-                           digest=spec.digest)
-                payload = _safe_execute(spec, timeout_s=self.timeout_s,
-                                        keep_exception=True)
-                return self._complete(spec, payload, errors, claims, 1, 1), \
-                    False
-            time.sleep(delay)
-            delay = min(delay * 1.7, 0.1)
 
     def derive(self, specs: Sequence[RunSpec], fn: Callable[[dict], Any]
                ) -> List[Any]:
         """``fn(payload)`` for each spec, cached as a derived entry.
 
         Each spec's entry is looked up under :func:`derived_key` in the
-        memory and shared tiers before any payload is read, so a warm
+        memory and disk tiers before any payload is read, so a warm
         hit never touches the base payload.  The specs that miss resolve
         through :meth:`run` (parallel, deduplicated, exactly-once), and
         ``fn`` runs once per digest with the collector paused.  Its

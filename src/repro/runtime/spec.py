@@ -170,36 +170,6 @@ class RunSpec:
         """A copy with fields changed (re-normalized, new digest)."""
         return replace(self, **changes)
 
-    # -- wire format -------------------------------------------------------
-    def to_jsonable(self) -> dict:
-        """Plain-JSON form for the service wire (digest-stable round trip).
-
-        Frozen pair tuples serialize as nested lists; ``from_jsonable``
-        re-freezes them, so the reconstructed spec digests identically.
-        Defaults are elided to keep batch files small.
-        """
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value == f.default:
-                continue
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_jsonable` (also accepts hand-written dicts)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RunSpec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "sizes" in kwargs:
-            kwargs["sizes"] = tuple(kwargs["sizes"])
-        # freeze_mapping handles list-of-pairs and plain dicts alike;
-        # __post_init__ re-normalizes, restoring the original digest
-        return cls(**kwargs)
-
     # -- convenience -------------------------------------------------------
     def merged_net_overrides(self) -> Optional[dict]:
         """``net_overrides`` with ``bus_kind``/``topology`` folded back in."""

@@ -331,7 +331,7 @@ class TestCacheQuarantine:
         cache = ResultCache(disk_dir=tmp_path)
         payload = SweepExecutor(jobs=1, cache=cache).run([spec])[0]
 
-        path = cache._path(spec.digest)
+        path = cache.backend.path(spec.digest)
         path.write_text("{truncated-by-a-crash")
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.lookup(spec) is None  # miss, not an exception
@@ -350,7 +350,7 @@ class TestCacheQuarantine:
     def test_non_dict_disk_entry_is_quarantined(self, tmp_path):
         spec = RunSpec.microbench("latency", "quadrics", sizes=(4,), iters=3)
         cache = ResultCache(disk_dir=tmp_path)
-        path = cache._path(spec.digest)
+        path = cache.backend.path(spec.digest)
         path.parent.mkdir(parents=True)
         path.write_text("[1, 2, 3]")  # valid JSON, wrong shape
         assert cache.lookup(spec) is None

@@ -217,10 +217,9 @@ class TestDecodePausesCollector:
         monkeypatch.setattr(json, "loads", loads)
         return seen
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_hit(self, tmp_path, caller_gc, loads_seen, backend):
+    def test_hit(self, tmp_path, caller_gc, loads_seen):
         spec = tiny_bench_spec()
-        cache = ResultCache(disk_dir=tmp_path, backend=backend)
+        cache = ResultCache(disk_dir=tmp_path)
         cache.store(spec, {"v": [1, True]})
         cache.clear()  # drop the memory tier so lookup decodes
         seen = []
@@ -231,7 +230,6 @@ class TestDecodePausesCollector:
 
         assert SweepExecutor(cache=cache).derive([spec], derived) == \
             [[1, True]]
-        cache.close()
         assert loads_seen == [False] and seen == [False]
         assert gc.isenabled() is caller_gc
 
@@ -243,20 +241,6 @@ class TestDecodePausesCollector:
         path.write_text("{not json")
         assert cache.lookup(spec) is None
         assert cache.stats.corrupt == 1 and not path.exists()
-        assert loads_seen == [False]
-        assert gc.isenabled() is caller_gc
-
-    def test_corrupt_sqlite_row(self, tmp_path, caller_gc, loads_seen):
-        spec = tiny_bench_spec()
-        cache = ResultCache(disk_dir=tmp_path, backend="sqlite")
-        cache.store(spec, {"v": 1})
-        cache.backend._connect().execute(
-            "UPDATE results SET payload=? WHERE digest=?",
-            (b"{not json", spec.digest))
-        cache.clear()
-        assert cache.lookup(spec) is None
-        assert cache.stats.corrupt == 1
-        cache.close()
         assert loads_seen == [False]
         assert gc.isenabled() is caller_gc
 
@@ -335,6 +319,20 @@ class TestSweepExecutor:
         parallel = SweepExecutor(jobs=2, cache=None).run(specs)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
+
+    def test_pool_persists_across_runs(self):
+        specs = [RunSpec.microbench("latency", net, sizes=(4, 64), iters=3)
+                 for net in ("infiniband", "myrinet", "quadrics")]
+        serial = SweepExecutor(jobs=1).run(specs)
+        with SweepExecutor(jobs=2) as executor:
+            first = executor.run(specs)
+            pool = executor._pool
+            second = executor.run(specs)
+            assert executor._pool is pool and pool is not None
+        assert executor._pool is None  # context exit released it
+        assert json.dumps(serial, sort_keys=True) == \
+            json.dumps(first, sort_keys=True) == \
+            json.dumps(second, sort_keys=True)
 
     def test_unknown_bench_raises(self):
         with pytest.raises(KeyError, match="unknown microbench"):
@@ -470,17 +468,6 @@ class TestDerive:
         (cold, cold_disk), (warm, warm_disk) = seen
         assert cold == warm and cold["counters"]
         assert (cold_disk, warm_disk) == (1, 1)  # base, then derived
-
-    def test_sqlite_round_trip(self, tmp_path):
-        spec = tiny_bench_spec()
-        first = SweepExecutor(cache=ResultCache(
-            disk_dir=tmp_path, backend="sqlite")).derive([spec], _points)
-        cache = ResultCache(disk_dir=tmp_path, backend="sqlite")
-        assert SweepExecutor(cache=cache).derive([spec], _points) == first
-        assert len(POINTS_CALLS) == 1
-        assert (cache.stats.hits, cache.stats.disk_hits,
-                cache.stats.misses) == (1, 1, 0)
-        cache.close()
 
 
 # ----------------------------------------------------------------------
