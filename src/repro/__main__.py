@@ -46,24 +46,6 @@ from repro import runtime
 from repro.experiments import FIGURES, TABLES, run_figure, run_table
 
 
-#: targets beyond figN/tableN/list, each with its arguments; both
-#: ``repro list`` and ``--help`` print these, and ``_dispatch`` runs them
-OTHER_TARGETS = ("calibration", "loggp", "sensitivity", "validate", "report",
-                 "matrix", "faults", "scale", "trace [pingpong|figN|app.class]",
-                 "bench <name>", "profile <app.class> <nprocs>",
-                 "diff <refA> <refB>")
-
-
-def _cmd_list() -> int:
-    from repro.apps.classes import PROBLEMS
-
-    print("figures: " + " ".join(sorted(FIGURES, key=lambda f: int(f[3:]))))
-    print("tables:  " + " ".join(sorted(TABLES)))
-    print("apps:    " + " ".join(sorted(PROBLEMS)))
-    print("other:   " + "  ".join(OTHER_TARGETS))
-    return 0
-
-
 def _coerce_option(value: str):
     """CLI option values arrive as strings; recover bool/int/float."""
     low = value.lower()
@@ -116,13 +98,23 @@ def parse_faults(ns) -> dict:
     return faults
 
 
-def _cmd_profile(spec: str, nprocs: int, network: str,
-                 mpi_options=None) -> int:
+def _network(ns) -> str:
+    """The one fabric a single-network command runs on."""
+    return ns.network or "infiniband"
+
+
+def _cmd_profile(ns) -> int:
+    """``repro profile <app.class> <nprocs>``: one app's communication profile."""
     from repro.apps import run_app
     from repro.profiling.report import app_profile_report
 
+    if len(ns.args) != 2:
+        raise SystemExit("profile needs: <app.class> <nprocs>")
+    spec, nprocs = ns.args[0], int(ns.args[1])
+    network = _network(ns)
     app, klass = spec.split(".", 1)
-    res = run_app(app, klass, network, nprocs, mpi_options=mpi_options or None)
+    res = run_app(app, klass, network, nprocs,
+                  mpi_options=parse_mpi_options(ns) or None)
     print(app_profile_report(f"{spec} on {nprocs} x {network}", res.recorder))
     print(f"\nexecution time: {res.elapsed_s:.2f} s "
           f"({res.sim_iters}/{res.total_iters} iterations simulated)")
@@ -177,6 +169,7 @@ def _cmd_bench(ns) -> int:
     from repro.runtime.spec import RunSpec
 
     name = ns.args[0] if ns.args else "latency"
+    network = _network(ns)
     registry = bench_registry()
     if name not in registry:
         raise SystemExit(f"unknown bench {name!r}; "
@@ -201,10 +194,10 @@ def _cmd_bench(ns) -> int:
         kwargs["timeline"] = timeline
     if ns.topology is not None:
         kwargs["topology"] = ns.topology
-    spec = RunSpec.microbench(name, ns.network, **kwargs)
+    spec = RunSpec.microbench(name, network, **kwargs)
     payload = runtime.run_spec(spec)
     series = series_from_payload(payload)
-    label = ns.network + (f" {options}" if options else "") \
+    label = network + (f" {options}" if options else "") \
         + (f" faults={faults}" if faults else "")
     print(f"{name} on {label}")
     print(series.fmt(yunit="us" if "latency" in name else ""))
@@ -267,6 +260,7 @@ def _cmd_trace(ns) -> int:
                                               write_chrome_trace)
 
     target = ns.args[0] if ns.args else "pingpong"
+    network = _network(ns)
     size = 4 if ns.size is None else ns.size
     cats = None
     if ns.categories:
@@ -276,17 +270,17 @@ def _cmd_trace(ns) -> int:
     cp_networks = []
     if "." in target:  # app.class kernel trace
         app, klass = target.split(".", 1)
-        res, tracer = traced_app(app, klass, ns.network, nprocs=4,
+        res, tracer = traced_app(app, klass, network, nprocs=4,
                                  categories=cats, mpi_options=options)
-        tracers[f"{target}:{ns.network}"] = tracer
+        tracers[f"{target}:{network}"] = tracer
         runtime.metrics().merge(res.metrics or {})
-        cp_networks = [ns.network]
+        cp_networks = [network]
     elif target in ("pingpong", "pt2pt"):
-        res, tracer = traced_pingpong(ns.network, nbytes=size,
+        res, tracer = traced_pingpong(network, nbytes=size,
                                       categories=cats, mpi_options=options)
-        tracers[ns.network] = tracer
+        tracers[network] = tracer
         runtime.metrics().merge(res.metrics)
-        cp_networks = [ns.network]
+        cp_networks = [network]
     else:  # figN / tableN / latency: traced pingpong on all three fabrics
         for net in ("infiniband", "myrinet", "quadrics"):
             res, tracer = traced_pingpong(net, nbytes=size,
@@ -307,13 +301,92 @@ def _cmd_trace(ns) -> int:
     return 0
 
 
+def _show(text: str) -> int:
+    print(text)
+    return 0
+
+
+def _cmd_calibration(ns) -> int:
+    from repro.experiments.calibration import calibration_report
+
+    return _show(calibration_report())
+
+
+def _cmd_loggp(ns) -> int:
+    from repro.analysis import loggp_report
+
+    return _show(loggp_report())
+
+
+def _cmd_sensitivity(ns) -> int:
+    from repro.analysis import sensitivity_report
+
+    return _show(sensitivity_report())
+
+
+def _cmd_validate(ns) -> int:
+    from repro.experiments.validate import validation_report
+
+    return _show(validation_report(quick=not ns.full))
+
+
+def _cmd_report(ns) -> int:
+    from repro.experiments.report_all import reproduce_all
+
+    reproduce_all(quick=not ns.full, out=sys.stdout)
+    return 0
+
+
+def _cmd_matrix(ns) -> int:
+    from repro.mpi.ch.matrix import matrix_report
+
+    return _show(matrix_report(iters=30 if ns.full else 10))
+
+
+def _cmd_faults(ns) -> int:
+    from repro.experiments.degradation import degradation_report
+
+    seed = 7 if ns.fault_seed is None else ns.fault_seed
+    return _show(degradation_report(quick=not ns.full, seed=seed))
+
+
+def _cmd_list(ns) -> int:
+    from repro.apps.classes import PROBLEMS
+
+    print("figures: " + " ".join(sorted(FIGURES, key=lambda f: int(f[3:]))))
+    print("tables:  " + " ".join(sorted(TABLES)))
+    print("apps:    " + " ".join(sorted(PROBLEMS)))
+    print("other:   " + "  ".join(usage for name, usage, _ in COMMANDS
+                                  if name != "list"))
+    return 0
+
+
+#: every command besides figN/tableN as (name, usage, handler); ``repro
+#: list``, ``--help`` and :func:`_dispatch` all read this one table
+COMMANDS = (
+    ("calibration", "calibration", _cmd_calibration),
+    ("loggp", "loggp", _cmd_loggp),
+    ("sensitivity", "sensitivity", _cmd_sensitivity),
+    ("validate", "validate", _cmd_validate),
+    ("report", "report", _cmd_report),
+    ("matrix", "matrix", _cmd_matrix),
+    ("faults", "faults", _cmd_faults),
+    ("scale", "scale", _cmd_scale),
+    ("trace", "trace [pingpong|figN|app.class]", _cmd_trace),
+    ("bench", "bench <name>", _cmd_bench),
+    ("profile", "profile <app.class> <nprocs>", _cmd_profile),
+    ("diff", "diff <refA> <refB>", _cmd_diff),
+    ("list", "list", _cmd_list),
+)
+
+
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the requested artifact."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate artifacts from Liu et al. (SC'03) in simulation.")
     parser.add_argument("target", help=" | ".join(
-        ["figN", "tableN"] + [t.split()[0] for t in OTHER_TARGETS] + ["list"]))
+        ["figN", "tableN"] + [name for name, _, _ in COMMANDS]))
     parser.add_argument("args", nargs="*", help="extra arguments (profile: "
                                                 "app.class nprocs; trace: "
                                                 "pingpong | figN | app.class; "
@@ -428,68 +501,13 @@ def main(argv=None) -> int:
 
 def _dispatch(ns, parser) -> int:
     t = ns.target.lower()
-    if t == "scale":
-        # handled before the default-network substitution: an unset
-        # --network means "sweep all three fabrics" here
-        return _cmd_scale(ns)
-    if ns.network is None:
-        ns.network = "infiniband"
-    if t == "list":
-        return _cmd_list()
-    if t == "trace":
-        return _cmd_trace(ns)
-    if t == "matrix":
-        from repro.mpi.ch.matrix import matrix_report
-
-        print(matrix_report(iters=30 if ns.full else 10))
-        return 0
-    if t == "bench":
-        return _cmd_bench(ns)
-    if t == "diff":
-        return _cmd_diff(ns)
-    if t == "faults":
-        from repro.experiments.degradation import degradation_report
-
-        print(degradation_report(quick=not ns.full,
-                                 seed=ns.fault_seed if ns.fault_seed is not None
-                                 else 7))
-        return 0
-    if t == "calibration":
-        from repro.experiments.calibration import calibration_report
-
-        print(calibration_report())
-        return 0
-    if t == "loggp":
-        from repro.analysis import loggp_report
-
-        print(loggp_report())
-        return 0
-    if t == "sensitivity":
-        from repro.analysis import sensitivity_report
-
-        print(sensitivity_report())
-        return 0
-    if t == "validate":
-        from repro.experiments.validate import validation_report
-
-        print(validation_report(quick=not ns.full))
-        return 0
-    if t == "report":
-        from repro.experiments.report_all import reproduce_all
-
-        reproduce_all(quick=not ns.full, out=sys.stdout)
-        return 0
-    if t == "profile":
-        if len(ns.args) != 2:
-            parser.error("profile needs: <app.class> <nprocs>")
-        return _cmd_profile(ns.args[0], int(ns.args[1]), ns.network,
-                            mpi_options=parse_mpi_options(ns))
+    for name, _usage, handler in COMMANDS:
+        if t == name:
+            return handler(ns)
     if t in FIGURES:
-        print(run_figure(t, quick=not ns.full).render())
-        return 0
+        return _show(run_figure(t, quick=not ns.full).render())
     if t in TABLES:
-        print(run_table(t, quick=not ns.full).render())
-        return 0
+        return _show(run_table(t, quick=not ns.full).render())
     parser.error(f"unknown target {ns.target!r}; try 'python -m repro list'")
     return 2  # pragma: no cover
 

@@ -20,7 +20,7 @@ Hot-path design (see DESIGN.md §9):
 * :meth:`Simulator.schedule_at` schedules a **bare callable** instead of
   an Event — no allocation, no callback list — used for pure delays
   (:class:`Delay`) and internal wakeups.
-* The run loop is **inlined**: no per-event ``step()``/``peek()`` calls,
+* The run loop is **inlined**: no per-event method calls,
   ``until``/deadline checks hoisted (``until`` defaults to ``+inf`` so
   the horizon test is one float compare), and the wall-clock sampled
   every 4096 events through a local counter.
@@ -350,49 +350,6 @@ class Simulator:
                 self._ready_u.append((self.now, PRIO_URGENT, seq, fn))
                 return
         heappush(self._heap, (self.now + delay, priority, seq, fn))
-
-    def peek(self) -> float:
-        """Time of the next scheduled entry, or +inf if none."""
-        best = self._heap[0][0] if self._heap else _INF
-        if self._ready_u and self._ready_u[0][0] < best:
-            best = self._ready_u[0][0]
-        if self._ready_n and self._ready_n[0][0] < best:
-            best = self._ready_n[0][0]
-        return best
-
-    def _pop_next(self):
-        """Remove and return the globally next entry (engine-internal)."""
-        ru, rn, heap = self._ready_u, self._ready_n, self._heap
-        if ru:
-            e = ru[0]
-            src = 0
-            if rn and rn[0] < e:
-                e = rn[0]
-                src = 1
-            if heap and heap[0] < e:
-                return heappop(heap)
-            if src == 0:
-                return ru.popleft()
-            return rn.popleft()
-        if rn:
-            e = rn[0]
-            if heap and heap[0] < e:
-                return heappop(heap)
-            return rn.popleft()
-        return heappop(heap)
-
-    def step(self) -> None:
-        """Process the single next entry."""
-        t, _prio, _seq, obj = self._pop_next()
-        if t < self.now - 1e-9:
-            raise SimulationError("time went backwards")
-        self.now = t
-        self._npending -= 1
-        self._nprocessed += 1
-        if isinstance(obj, Event):
-            obj._fire()
-        else:
-            obj()
 
     def run(self, until: Optional[float] = None, until_event: Optional[Event] = None) -> Any:
         """Run until the queues drain, ``until`` time, or ``until_event`` fires.

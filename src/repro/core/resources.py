@@ -183,39 +183,6 @@ class FifoServer:
         ev.succeed(delay=done - now)
         return ev
 
-    def serve_at(self, arrival: float, nbytes: float, overhead: Optional[float] = None) -> float:
-        """Reserve service for a transfer *arriving* at ``arrival``.
-
-        Returns the absolute completion time.  This is the analytic
-        pipelining primitive: a caller can walk a message's chunks through
-        a series of servers without yielding to the engine, feeding each
-        stage's completion time in as the next stage's arrival time.
-
-        Note on fidelity: reservations are made in *call* order, so two
-        messages whose pipeline walks are computed at different sim times
-        but overlap in the future are served in computation order rather
-        than strict arrival order.  The error is bounded by one service
-        time and does not affect steady-state throughput.
-        """
-        start = arrival if arrival > self.next_free else self.next_free
-        dur = self.occupancy_us(nbytes, overhead)
-        self.next_free = start + dur
-        self.busy_time += dur
-        self.transfers += 1
-        self.bytes_moved += int(nbytes)
-        return self.next_free
-
-    def finish_time(self, nbytes: float, overhead: Optional[float] = None) -> float:
-        """Like :meth:`transfer` but returns the absolute completion time."""
-        now = self.sim.now
-        start = now if now > self.next_free else self.next_free
-        dur = self.occupancy_us(nbytes, overhead)
-        self.next_free = start + dur
-        self.busy_time += dur
-        self.transfers += 1
-        self.bytes_moved += int(nbytes)
-        return self.next_free
-
     def utilization(self) -> float:
         """Fraction of elapsed sim time this server was busy."""
         if self.sim.now <= 0:

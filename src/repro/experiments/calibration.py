@@ -40,9 +40,9 @@ ANCHORS: List[Tuple[str, str, str]] = [
     ("PCI bus 400 MB/s shared", "Figs. 26-27: +0.6 us, 378 MB/s on PCI; Fig. 5 QSN 375",
      "hardware.bus.make_pci_bus"),
     ("MVAPICH eager limit 2 KB", "Fig. 2: bandwidth dip at exactly 2 KB",
-     "MvapichDevice.EAGER_LIMIT"),
+     "MvapichChannel.EAGER_LIMIT"),
     ("MVAPICH shmem <16 KB + loopback", "§3.6: intra-node >450 MB/s large (half of PCI-X)",
-     "MvapichDevice.SHMEM_LIMIT"),
+     "MvapichChannel.CAPS.shmem_limit"),
     ("VAPI registration 22 + 5.5/page us", "Fig. 7: IBA latency rise >1K at 0% reuse",
      "InfiniBandParams.reg_*"),
     ("RC connection 5.7 MB + 15 MB base", "Fig. 13: ~20 MB at 2 nodes -> ~55 MB at 8",
@@ -54,11 +54,11 @@ ANCHORS: List[Tuple[str, str, str]] = [
     ("LANai SRAM port 680 MB/s, S&F >256 KB", "Fig. 5: 473 MB/s dropping below 340 past 256 KB",
      "MyrinetParams.sram_*"),
     ("MPICH-GM eager limit 16 KB", "Figs. 7-8: Myrinet reuse-insensitive below 16 KB",
-     "MpichGmDevice.EAGER_LIMIT"),
+     "GmChannel.EAGER_LIMIT"),
     ("Elan engine 312 MB/s eff.", "Fig. 2: 308 MB/s uni-directional peak",
      "QuadricsParams.engine_bw_mbps"),
     ("Tports host calls 1.45/1.35 us", "Figs. 1,3: 4.6 us latency at 3.3 us host overhead",
-     "MpichQuadricsDevice.O_SEND/O_RECV_POST"),
+     "TportsChannel.O_SEND/O_RECV_POST"),
     ("Elan inline limit 288 B", "Fig. 3: QSN overhead dips past 256 B",
      "QuadricsParams.inline_bytes"),
     ("Tports tx queue depth 16", "Fig. 2: QSN bandwidth drops when window > 16",
@@ -72,7 +72,7 @@ ANCHORS: List[Tuple[str, str, str]] = [
     ("shmem stream 760 -> 210 B/us thrash", "Fig. 10: Myri/QSN intra-node collapse past the L2",
      "MemcpyModel.shmem_*"),
     ("allreduce = reduce+bcast / rdbl (GM)", "Fig. 12: QSN 28 < Myri 35 < IBA 46 us",
-     "MpiDevice.ALLREDUCE_ALGO"),
+     "ChannelCaps.allreduce_algo"),
 ]
 
 

@@ -22,9 +22,12 @@ with a per-burst arbitration/setup overhead.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.engine import Simulator
 from repro.core.resources import FifoServer
 from repro.core.units import mbps_to_bytes_per_us
+from repro.hardware.path import Stage
 
 __all__ = ["HostBus", "make_pcix_bus", "make_pci_bus"]
 
@@ -64,10 +67,19 @@ class HostBus:
         self.burst_overhead_us = burst_overhead_us
         self.dma_setup_us = dma_setup_us
 
-    def serve_at(self, arrival: float, nbytes: float, first_burst: bool = False) -> float:
-        """Reserve one DMA burst; returns absolute completion time."""
-        extra = self.dma_setup_us if first_burst else 0.0
-        return self.server.serve_at(arrival, nbytes, overhead=self.burst_overhead_us + extra)
+    def stage(self, name: str, burst_us: Optional[float] = None,
+              setup_us: Optional[float] = None) -> Stage:
+        """One DMA pass over this bus as a pipeline stage.
+
+        Each chunk pays the per-burst overhead and the first chunk also
+        the per-message DMA setup; a fabric with its own measured costs
+        passes them as ``burst_us``/``setup_us``.  Both DMA directions
+        of every card share the one server.
+        """
+        return Stage(self.server,
+                     overhead_us=self.burst_overhead_us if burst_us is None else burst_us,
+                     first_chunk_extra_us=self.dma_setup_us if setup_us is None else setup_us,
+                     name=name)
 
     @property
     def bytes_moved(self) -> int:

@@ -19,9 +19,15 @@ pair:
 
 The stage's server ``next_free`` advances to the tail departure, so
 contention (other messages, other chunks) is modelled exactly as a FIFO
-queue.  The walk costs O(stages x chunks) arithmetic and posts a single
-engine event per message — the key to simulating NAS-scale message
-counts quickly.
+queue.  Reservations are made in *call* order: two walks computed at
+different sim times that overlap in the future are served in
+computation order, an error bounded by one service time that leaves
+steady-state throughput alone.  The walk costs O(stages x chunks)
+arithmetic and posts a single engine event per message — the key to
+simulating NAS-scale message counts quickly.  One kernel,
+:meth:`PipelinePath.walk_range`, makes every reservation: the
+injector's split-phase walks, :meth:`PipelinePath.schedule` and the
+traced walk.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.engine import Event, Simulator
+from repro.core.engine import Simulator
 from repro.core.resources import FifoServer
 
 __all__ = ["Stage", "PathSegment", "PipelinePath", "chunk_sizes"]
@@ -71,38 +77,6 @@ class Stage:
     #: delaying this message — but delaying whatever arrives next.
     trailing_us: float = 0.0
     name: str = ""
-
-    def serve(self, head_in: float, tail_in: float, nbytes: float,
-              first: bool) -> Tuple[float, float]:
-        """Walk one chunk through this stage; returns (head_out, tail_out)."""
-        if self.server is None:
-            return head_in + self.latency_us, tail_in + self.latency_us
-        srv = self.server
-        ov = srv.overhead if self.overhead_us is None else self.overhead_us
-        if first:
-            ov += self.first_chunk_extra_us
-        ser = nbytes / srv.bw
-        if self.cut_through:
-            start = head_in if head_in > srv.next_free else srv.next_free
-            head_out = start + ov
-            # the tail can leave no earlier than the stage's own rate
-            # allows *and* no earlier than bytes arrive from upstream
-            tail_out = max(start + ov + ser, tail_in + ov)
-            # ...but the stage is only *occupied* for its own service
-            # time: bytes trickling in slowly leave capacity for other
-            # flows (this is what lets both directions of a bus/SRAM run
-            # concurrently at their true aggregate rate).
-            srv.next_free = start + ov + ser
-        else:  # store-and-forward: wait for the full chunk
-            start = tail_in if tail_in > srv.next_free else srv.next_free
-            head_out = start + ov
-            tail_out = start + ov + ser
-            srv.next_free = tail_out
-        srv.next_free += self.trailing_us
-        srv.busy_time += ov + ser + self.trailing_us
-        srv.transfers += 1
-        srv.bytes_moved += int(nbytes)
-        return head_out + self.latency_us, tail_out + self.latency_us
 
 
 def _flatten(stage: Stage) -> tuple:
@@ -186,22 +160,28 @@ class PipelinePath:
                              if s.server is not None]
 
     def walk_range(self, s_from: int, s_to: int, entries: List[list],
-                   local_stage: Optional[int] = None) -> float:
+                   local_stage: Optional[int] = None,
+                   _untraced: bool = False) -> float:
         """Walk chunk states through stages ``[s_from, s_to)`` in place.
 
         ``entries`` is a list of ``[head, tail, nbytes, first]`` chunk
-        states, updated in place.  Returns the max tail observed at
-        ``local_stage`` (or 0.0 if that stage is outside the range).
+        states, updated in place chunk by chunk, so a server that
+        appears at two stages sees each chunk's two reservations back to
+        back.  Returns the max tail observed at ``local_stage`` (or 0.0
+        if that stage is outside the range).
+
+        This is the one stage-reservation kernel: the injector's
+        split-phase walks, :meth:`schedule` and the traced walk all
+        reserve through these loops.  They run O(stages x chunks) for
+        every message in the simulation, so the stage arithmetic is
+        open-coded with locals, and the common destination-phase walk
+        has no local stage to watch and gets its own loop without the
+        per-stage index bookkeeping.  ``_untraced`` is the traced
+        walk's private way in, past the tracing check.
         """
         tracer = self.sim.tracer
-        if tracer.wants_hw:
+        if tracer.wants_hw and not _untraced:
             return self._walk_range_traced(s_from, s_to, entries, local_stage, tracer)
-        # Inlined Stage.serve: this double loop runs O(stages x chunks)
-        # for every message in the simulation, so the stage arithmetic is
-        # open-coded here with local variables (serve() remains the
-        # reference implementation and the traced path).  The common
-        # destination-phase walk has no local_stage to watch, so it gets
-        # its own loop without the per-stage index bookkeeping.
         span = self._spans.get((s_from, s_to))
         if span is None:
             span = self._spans[(s_from, s_to)] = tuple(self._flat[s_from:s_to])
@@ -218,6 +198,12 @@ class PipelinePath:
                     ser = csize * inv_bw
                     nf = srv.next_free
                     if cut:
+                        # the tail leaves no earlier than the stage's own
+                        # rate allows and no earlier than bytes arrive, but
+                        # the server is *occupied* only for its own service
+                        # time: bytes trickling in slowly leave capacity to
+                        # other flows, so both directions of a bus or SRAM
+                        # run at their true aggregate rate
                         start = head if head > nf else nf
                         occupied = start + ov + ser
                         t2 = tail + ov
@@ -274,41 +260,20 @@ class PipelinePath:
                            local_stage: Optional[int], tracer) -> float:
         """:meth:`walk_range` plus one ``hw`` span per (chunk, stage).
 
-        Uses the hot walk's flattened constants and arithmetic (``csize *
-        inv_bw``, not :meth:`Stage.serve`'s ``nbytes / bw``), so turning
-        tracing on cannot move a result by even one ulp.
+        Drives the same kernel one (chunk, stage) at a time, chunk-outer
+        like the untraced walk (a Myrinet path holds one SRAM server at
+        two stages), so turning tracing on cannot move a result by even
+        one ulp.
         """
         local_max = 0.0
-        stages = self.stages
         for entry in entries:
-            head, tail, csize, first = entry
-            s = s_from
-            for srv, ov, extra, lat, cut, trail, inv_bw in self._flat[s_from:s_to]:
-                head_in, tail_in = head, tail
-                if srv is None:
-                    head += lat
-                    tail += lat
-                else:
-                    if first:
-                        ov += extra
-                    ser = csize * inv_bw
-                    nf = srv.next_free
-                    if cut:
-                        start = head if head > nf else nf
-                        occupied = start + ov + ser
-                        t2 = tail + ov
-                        head = start + ov + lat
-                        tail = (occupied if occupied > t2 else t2) + lat
-                    else:  # store-and-forward: wait for the full chunk
-                        start = tail if tail > nf else nf
-                        occupied = start + ov + ser
-                        head = start + ov + lat
-                        tail = occupied + lat
-                    srv.next_free = occupied + trail
-                    srv.busy_time += ov + ser + trail
-                    srv.transfers += 1
-                    srv.bytes_moved += csize
-                sname = stages[s].name or f"s{s}"
+            chunk = [entry]
+            csize = entry[2]
+            for s in range(s_from, s_to):
+                head_in, tail_in = entry[0], entry[1]
+                self.walk_range(s, s + 1, chunk, None, True)
+                head, tail = entry[0], entry[1]
+                sname = self.stages[s].name or f"s{s}"
                 tracer.emit(
                     head_in, "hw", f"{self.name}:{s}:{sname}",
                     f"{sname} {int(csize)}B", kind="X",
@@ -319,15 +284,12 @@ class PipelinePath:
                 )
                 if s == local_stage and tail > local_max:
                     local_max = tail
-                s += 1
-            entry[0] = head
-            entry[1] = tail
         return local_max
 
     def schedule(self, nbytes: int, start: Optional[float] = None,
                  local_stage: Optional[int] = None,
                  charge_first_extra: bool = True) -> Tuple[float, float]:
-        """Reserve capacity for a message through every stage.
+        """Reserve capacity for a message through every stage at once.
 
         Returns ``(local_done, delivered)`` absolute times.
         ``local_done`` is the tail departure from stage index
@@ -335,50 +297,20 @@ class PipelinePath:
         memory, a sender-side CQE may be generated).  With
         ``local_stage=None`` it equals ``delivered``.
 
-        ``start`` defaults to the current simulation time.
+        ``start`` defaults to the current simulation time.  The fabric
+        injector instead walks the source and destination phases apart
+        (see ``split_stage``); both go through :meth:`walk_range`.
         """
         t0 = self.sim.now if start is None else start
-        sizes = chunk_sizes(nbytes, self.chunk_bytes)
+        entries = [[t0, t0, csize, charge_first_extra and i == 0]
+                   for i, csize in enumerate(chunk_sizes(nbytes, self.chunk_bytes))]
         self.messages += 1
         self.bytes_moved += nbytes
-        tracer = self.sim.tracer
-        traced = tracer.wants_hw
-        delivered = t0
-        local_done = t0
-        for i, csize in enumerate(sizes):
-            first = charge_first_extra and i == 0
-            head = tail = t0
-            for s, stage in enumerate(self.stages):
-                if traced:
-                    head_in, tail_in = head, tail
-                head, tail = stage.serve(head, tail, csize, first)
-                if traced:
-                    sname = stage.name or f"s{s}"
-                    tracer.emit(
-                        head_in, "hw", f"{self.name}:{s}:{sname}",
-                        f"{sname} {int(csize)}B", kind="X",
-                        dur_us=max(tail - head_in, 0.0),
-                        data={"path": self.name, "stage": s, "stage_name": sname,
-                              "head_in": head_in, "tail_in": tail_in,
-                              "head_out": head, "tail_out": tail, "nbytes": csize},
-                    )
-                if local_stage is not None and s == local_stage:
-                    local_done = max(local_done, tail)
-            delivered = max(delivered, tail)
+        local = self.walk_range(0, len(self.stages), entries, local_stage)
+        delivered = max(t0, max(e[1] for e in entries))
         if local_stage is None:
-            local_done = delivered
-        return local_done, delivered
-
-    def completion_time(self, nbytes: int, start: Optional[float] = None) -> float:
-        """Reserve capacity for a message; return absolute delivery time."""
-        return self.schedule(nbytes, start)[1]
-
-    def transfer(self, nbytes: int, start: Optional[float] = None) -> Event:
-        """Like :meth:`completion_time` but returns an Event at delivery."""
-        done = self.completion_time(nbytes, start)
-        ev = self.sim.event(f"{self.name}.deliver")
-        ev.succeed(delay=max(0.0, done - self.sim.now))
-        return ev
+            return delivered, delivered
+        return max(t0, local), delivered
 
     def backlog_us(self, now: float) -> float:
         """Worst queued-ahead time on this path's stage servers.

@@ -5,16 +5,13 @@
 - :mod:`repro.mpi.ch.channel` — the fabric-facing Channel interface
 - :mod:`repro.mpi.ch.core` — the shared protocol core (Ch3Device)
 - :mod:`repro.mpi.ch.matrix` — the what-if device matrix
-
-``Ch3Device`` is exported lazily (PEP 562): the core subclasses
-``repro.mpi.devices.base.MpiDevice`` while the devices package imports
-the core, so eagerly importing it here would close an import cycle.
 """
 
 from repro.mpi.ch.caps import (PROGRESS_HOST, PROGRESS_NIC, RNDV_NIC,
                                RNDV_READ, RNDV_SEND_RECV, RNDV_WRITE,
                                ChannelCaps, resolve_rendezvous)
 from repro.mpi.ch.channel import Channel
+from repro.mpi.ch.core import Ch3Device
 from repro.mpi.ch.payload import fill_buffer, fill_buffer_at, payload_of
 
 __all__ = [
@@ -24,9 +21,3 @@ __all__ = [
     "PROGRESS_HOST", "PROGRESS_NIC",
 ]
 
-
-def __getattr__(name):
-    if name == "Ch3Device":
-        from repro.mpi.ch.core import Ch3Device
-        return Ch3Device
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -67,7 +67,9 @@ class ChannelCaps:
     #: whether the eager/rendezvous threshold comparison is inclusive
     #: (GM: nbytes <= limit eager) or strict (MVAPICH: nbytes < limit)
     eager_inclusive: bool = False
-    #: allreduce composition of the port's MPICH base version
+    #: allreduce composition of the port's MPICH base version: 1.2.5
+    #: (MPICH-GM) ships recursive doubling ("rdbl"), the 1.2.2/1.2.4
+    #: bases of the other two ports compose reduce+bcast (Fig. 12)
     allreduce_algo: str = "reduce_bcast"
     #: rendezvous flavors this channel supports (first ~ documentation order)
     rndv_flavors: Tuple[str, ...] = (RNDV_WRITE,)

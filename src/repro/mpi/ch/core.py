@@ -35,35 +35,63 @@ Rendezvous comes in flavors (``--mpi-option rendezvous=...``):
 - ``nic`` — the NIC's own matched rendezvous (Tports).
 
 All entry points are generator coroutines charging host time via
-``yield cpu.comm(...)``.
+``yield cpu.comm(...)``, so the paper's host overhead measurements fall
+out of the same accounting.  The three fabric ports in
+:mod:`repro.mpi.devices` subclass :class:`Ch3Device` only to name their
+channel, memory model and port-specific extras.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
+from repro.core.engine import Simulator
 from repro.core.resources import AllOf, Gate, Store
+from repro.hardware.cpu import HostCPU
+from repro.hardware.memory import AddressSpace
 from repro.mpi.ch.caps import (PROGRESS_HOST, PROGRESS_NIC, RNDV_READ,
                                RNDV_SEND_RECV, resolve_rendezvous)
 from repro.mpi.ch.channel import Channel
 from repro.mpi.ch.payload import fill_buffer, fill_buffer_at, payload_of
-from repro.mpi.devices.base import MpiDevice
-from repro.mpi.matching import Envelope
+from repro.mpi.matching import Envelope, MatchEngine
 from repro.mpi.request import Request
+from repro.mpi.status import Status
 
 __all__ = ["Ch3Device"]
 
 
-class Ch3Device(MpiDevice):
+class Ch3Device:
     """One MPI rank: the shared protocol core over a fabric channel."""
 
+    #: resident library footprint (Fig. 13 model), set per port
+    MEM_BASE_MB: float = 0.0
+    MEM_PER_CONN_MB: float = 0.0
     #: rank -> device table, wired by the world at construction; the
     #: None default makes an unwired device fail loudly rather than
     #: share state across worlds.
     peers: Optional[Dict[int, "Ch3Device"]] = None
+    #: live rendezvous in-flight watch, installed per run by the
+    #: timeline sampler (duck-typed ``.n`` / ``.dec``); the default None
+    #: keeps the untimed hot path at a single attribute check
+    rndv_watch: Optional[Any] = None
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, sim: Simulator, rank: int, cpu: HostCPU, fabric, port,
+                 space: AddressSpace, recorder=None,
+                 options: Optional[dict] = None) -> None:
+        self.sim = sim
+        self.rank = rank
+        self.cpu = cpu
+        self.fabric = fabric
+        self.port = port
+        self.space = space
+        self.recorder = recorder
+        self.options = dict(options or {})
+        self.match = MatchEngine()
+        #: batched per-protocol tallies, published by :meth:`flush_metrics`
+        #: at end of run: proto -> [message count, byte total]
+        self._proto_counts: Dict[str, list] = {}
+        #: batched message-size tallies: nbytes -> count
+        self._size_counts: Dict[int, int] = {}
         self.channel: Channel = self._make_channel()
         self.caps = self.channel.caps
         self.rendezvous = resolve_rendezvous(self.caps, self.options)
@@ -93,6 +121,64 @@ class Ch3Device(MpiDevice):
 
     def _make_channel(self) -> Channel:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
+    def memory_usage_mb(self, npeers: int) -> float:
+        """Modelled resident MPI memory with ``npeers`` connected peers."""
+        return self.MEM_BASE_MB + self.MEM_PER_CONN_MB * npeers
+
+    def _record_transfer(self, peer: int, nbytes: int) -> None:
+        if self.recorder is not None:
+            self.recorder.record_transfer(
+                self.rank, peer, nbytes,
+                intra=self.fabric.same_node(self.rank, peer),
+                time=self.sim.now,
+            )
+
+    def _count_msg(self, proto: str, req: Request) -> None:
+        """Account one outgoing message under its wire protocol.
+
+        ``proto`` is one of ``eager``/``rndv``/``inline``/``shmem``; also
+        emits the protocol-choice trace instant when tracing is on.
+        Tallies accumulate on the device and reach ``sim.metrics`` via
+        :meth:`flush_metrics` (called once per run by the world).
+        """
+        nbytes = req.nbytes
+        tally = self._proto_counts.get(proto)
+        if tally is None:
+            self._proto_counts[proto] = [1, nbytes]
+        else:
+            tally[0] += 1
+            tally[1] += nbytes
+        sizes = self._size_counts
+        sizes[nbytes] = sizes.get(nbytes, 0) + 1
+        if proto == "rndv":
+            watch = self.rndv_watch
+            if watch is not None:
+                watch.n += 1
+                req.done.add_callback(watch.dec)
+        tracer = self.sim.tracer
+        if tracer.wants_mpi:
+            tracer.instant(self.sim.now, "mpi", f"rank{self.rank}",
+                           f"{proto} {nbytes}B -> r{req.peer}",
+                           data={"proto": proto, "nbytes": nbytes,
+                                 "peer": req.peer, "tag": req.tag})
+
+    def flush_metrics(self) -> None:
+        """Publish batched protocol tallies to ``sim.metrics``."""
+        m = self.sim.metrics
+        for proto, (nmsgs, nbytes) in self._proto_counts.items():
+            m.inc("mpi.msgs." + proto, nmsgs)
+            m.inc("mpi.bytes." + proto, nbytes)
+        self._proto_counts.clear()
+        for nbytes, n in self._size_counts.items():
+            m.observe_n("mpi.msg_size", nbytes, n)
+        self._size_counts.clear()
+
+    def _recv_status(self, src: int, tag: int, nbytes: int) -> Status:
+        return Status(source=src, tag=tag, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # protocol selection

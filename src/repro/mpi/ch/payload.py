@@ -4,9 +4,6 @@ Simulated buffers may or may not be array-backed (apps that only model
 timing allocate data-less buffers).  These helpers snapshot and deposit
 bytes when both ends are real and degrade to no-ops otherwise, so the
 protocol code never has to branch on it.
-
-Moved out of ``repro.mpi.devices.shmem`` — the Quadrics port imports
-these too, and it explicitly has no shared-memory channel.
 """
 
 from __future__ import annotations

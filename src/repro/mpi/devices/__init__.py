@@ -1,4 +1,4 @@
-"""ADI2-style MPI devices: thin fabric channels under the CH3 core.
+"""The three MPI ports: thin fabric channels under the CH3 core.
 
 Each port is a :class:`~repro.mpi.ch.channel.Channel` declaring its
 capabilities plus a device class wiring it into the shared protocol
@@ -6,26 +6,18 @@ core (:class:`~repro.mpi.ch.core.Ch3Device`).
 """
 
 from repro.mpi.ch.core import Ch3Device
-from repro.mpi.devices.base import MpiDevice
 from repro.mpi.devices.mpich_gm import GmChannel, MpichGmDevice
 from repro.mpi.devices.mpich_quadrics import MpichQuadricsDevice, TportsChannel
 from repro.mpi.devices.mvapich import MvapichChannel, MvapichDevice
-from repro.mpi.devices.shmem import ShmemChannel
-
-#: deprecated alias — the host-progress machinery now lives in the core
-HostProgressDevice = Ch3Device
 
 __all__ = [
-    "MpiDevice",
     "Ch3Device",
-    "HostProgressDevice",
     "MvapichDevice",
     "MvapichChannel",
     "MpichGmDevice",
     "GmChannel",
     "MpichQuadricsDevice",
     "TportsChannel",
-    "ShmemChannel",
     "device_class_for",
 ]
 

@@ -192,20 +192,9 @@ class GmChannel(Channel):
 class MpichGmDevice(Ch3Device):
     """The MPI port used for Myrinet."""
 
-    # back-compat constant surface (calibration anchors, tests, figures)
-    EAGER_LIMIT = GmChannel.EAGER_LIMIT
-    PROVIDED_PER_CLASS = GmChannel.PROVIDED_PER_CLASS
-    O_SEND_POST = GmChannel.O_SEND_POST
-    O_RECV_POST = GmChannel.O_RECV_POST
-
     # -- memory model (Fig. 13: flat, connectionless) -----------------------
     MEM_BASE_MB = 9.0
     MEM_PER_CONN_MB = 0.05
-
-    #: MPICH 1.2.5 (the GM port's base) ships recursive-doubling
-    #: allreduce; the 1.2.2/1.2.4 bases of the other two ports still
-    #: compose reduce+bcast — visible in Fig. 12.
-    ALLREDUCE_ALGO = "rdbl"
 
     channel: GmChannel
 

@@ -163,11 +163,6 @@ class TportsChannel(Channel):
 class MpichQuadricsDevice(Ch3Device):
     """The MPI port used for Quadrics."""
 
-    # back-compat constant surface (calibration anchors, tests, figures)
-    O_SEND = TportsChannel.O_SEND
-    O_RECV_POST = TportsChannel.O_RECV_POST
-    O_COMPLETE = TportsChannel.O_COMPLETE
-
     # -- memory model (Fig. 13: flat) ---------------------------------------
     MEM_BASE_MB = 19.0
     MEM_PER_CONN_MB = 0.1

@@ -56,8 +56,6 @@ class MvapichChannel(Channel):
     # -- protocol thresholds --------------------------------------------
     #: eager/rendezvous switch (Fig. 2's 2 KB dip)
     EAGER_LIMIT = 2048
-    #: intra-node shared-memory limit; larger goes through the HCA
-    SHMEM_LIMIT = 16 * 1024
 
     # -- host costs (µs) — calibrated against Figs. 1 & 3 ----------------
     O_SEND_POST = 0.62   # descriptor build + doorbell
@@ -284,12 +282,6 @@ class MvapichChannel(Channel):
 
 class MvapichDevice(Ch3Device):
     """The MPI port used for InfiniBand."""
-
-    # back-compat constant surface (calibration anchors, tests, figures)
-    EAGER_LIMIT = MvapichChannel.EAGER_LIMIT
-    SHMEM_LIMIT = MvapichChannel.SHMEM_LIMIT
-    O_SEND_POST = MvapichChannel.O_SEND_POST
-    O_RECV_POST = MvapichChannel.O_RECV_POST
 
     # -- memory model (Fig. 13) ------------------------------------------
     MEM_BASE_MB = 15.0

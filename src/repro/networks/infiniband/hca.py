@@ -105,8 +105,7 @@ class InfiniBandFabric(Fabric):
         bus = self.cluster.node(node).bus(p.bus_kind)
         hca = self.hca(node)
         return [
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="src_bus"),
+            bus.stage("src_bus"),
             Stage(hca.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.cqe_gen_us, name="hca_proc_tx"),
             Stage(hca.tx_engine, name="hca_tx"),
@@ -120,8 +119,7 @@ class InfiniBandFabric(Fabric):
         return [
             Stage(hca.mproc, first_chunk_extra_us=p.rx_proc_us, name="hca_proc_rx"),
             Stage(hca.rx_engine, name="hca_rx"),
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="dst_bus"),
+            bus.stage("dst_bus"),
         ]
 
     def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
@@ -143,14 +141,12 @@ class InfiniBandFabric(Fabric):
         bus = self.cluster.node(node).bus(p.bus_kind)
         hca = self.hca(node)
         stages = [
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="bus_out"),
+            bus.stage("bus_out"),
             Stage(hca.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.cqe_gen_us, name="hca_proc_tx"),
             Stage(hca.tx_engine, name="hca_tx"),
             Stage(hca.mproc, first_chunk_extra_us=p.rx_proc_us, name="hca_proc_rx"),
             Stage(hca.rx_engine, name="hca_rx"),
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="bus_in"),
+            bus.stage("bus_in"),
         ]
         return PipelinePath(self.sim, stages, name=f"ib.loop{node}")

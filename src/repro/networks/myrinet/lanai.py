@@ -101,8 +101,7 @@ class MyrinetFabric(Fabric):
         nic = self.nic(node)
         sram = self.srams[node]
         stages = [
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="src_bus"),
+            bus.stage("src_bus"),
             Stage(nic.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.send_done_proc_us, name="lanai_fw_tx"),
             Stage(nic.tx_engine, name="lanai_tx"),
@@ -137,8 +136,7 @@ class MyrinetFabric(Fabric):
             stages += [Stage(sram, name="dst_sram")]
         stages += [
             Stage(nic.rx_engine, name="lanai_rx"),
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="dst_bus"),
+            bus.stage("dst_bus"),
         ]
         return stages
 
@@ -170,16 +168,14 @@ class MyrinetFabric(Fabric):
         nic = self.nic(node)
         sram = self.srams[node]
         stages = [
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="bus_out"),
+            bus.stage("bus_out"),
             Stage(nic.mproc, first_chunk_extra_us=p.tx_proc_us,
                   trailing_us=p.send_done_proc_us, name="lanai_fw_tx"),
             Stage(nic.tx_engine, name="lanai_tx"),
             Stage(sram, name="sram"),
             Stage(nic.mproc, first_chunk_extra_us=p.rx_proc_us, name="lanai_fw_rx"),
             Stage(nic.rx_engine, name="lanai_rx"),
-            Stage(bus.server, overhead_us=bus.burst_overhead_us,
-                  first_chunk_extra_us=bus.dma_setup_us, name="bus_in"),
+            bus.stage("bus_in"),
         ]
         return PipelinePath(self.sim, stages, name=f"myri.loop{node}")
 

@@ -103,8 +103,8 @@ class QuadricsFabric(Fabric):
     def _bus_stage(self, node: int, name: str) -> Stage:
         p = self.params
         bus = self.cluster.node(node).bus(p.bus_kind)
-        return Stage(bus.server, overhead_us=p.bus_burst_overhead_us,
-                     first_chunk_extra_us=p.bus_dma_setup_us, name=name)
+        return bus.stage(name, burst_us=p.bus_burst_overhead_us,
+                         setup_us=p.bus_dma_setup_us)
 
     def _src_stages(self, node: int, dma: bool) -> list:
         """Source side; without ``dma`` the bytes arrive by PIO, so the

@@ -11,14 +11,8 @@ Three consumers sit on top of the end-of-run counters PR 2 introduced:
 - :mod:`repro.obs.diff` — the ``repro diff`` CLI target: counter
   deltas, critical-path decomposition deltas and ASCII timeline
   overlays between two runs.
+
+The package re-exports nothing: ``python -m repro.obs.ledger`` runs the
+ledger validator, and importing the submodule from here first would
+make runpy execute it twice.
 """
-
-from repro.obs.ledger import (LEDGER_SCHEMA, RunLedger, read_ledger,
-                              validate_ledger)
-from repro.obs.timeline import (DEFAULT_INTERVAL_US, TimelineSampler,
-                                active_capture, capture)
-
-__all__ = [
-    "DEFAULT_INTERVAL_US", "TimelineSampler", "active_capture", "capture",
-    "LEDGER_SCHEMA", "RunLedger", "read_ledger", "validate_ledger",
-]

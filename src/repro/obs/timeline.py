@@ -84,7 +84,7 @@ def active_capture() -> Optional[TimelineConfig]:
 class _RndvWatch:
     """Live rendezvous in-flight counter, installed on every device.
 
-    ``MpiDevice._count_msg`` bumps ``n`` when a rendezvous send starts
+    ``Ch3Device._count_msg`` bumps ``n`` when a rendezvous send starts
     and registers :meth:`dec` on the request's completion event, so the
     sampler reads the number of rendezvous transfers in flight *right
     now* — the queue the paper's buffer-reuse and hot-spot sections

@@ -47,49 +47,22 @@ class TestCli:
         out = _cli("profile")
         assert out.returncode != 0
 
-    def test_listed_targets_all_dispatch(self, monkeypatch):
-        """Every name under "other:" in `repro list` reaches a command."""
-        import repro.analysis
-        import repro.experiments.calibration
-        from repro.__main__ import _dispatch
+    def test_listed_targets_all_dispatch(self):
+        """`repro list`, `--help` and dispatch all read one command table."""
+        from repro.__main__ import COMMANDS
 
-        class Routed(Exception):
-            pass
-
-        class Probe:
-            # the first option a command reads proves it was routed there
-            network = "infiniband"
-
-            def __init__(self, target):
-                self.target = target
-
-            def __getattr__(self, name):
-                raise Routed(name)
-
-        class Parser:
-            def error(self, msg):
-                raise AssertionError(msg)
-
-        # the three commands that read no option: stub their reports
-        for mod, name in ((repro.analysis, "loggp_report"),
-                          (repro.analysis, "sensitivity_report"),
-                          (repro.experiments.calibration,
-                           "calibration_report")):
-            monkeypatch.setattr(mod, name, lambda: "stub")
+        names = [name for name, _usage, handler in COMMANDS]
+        assert all(callable(handler) for _n, _u, handler in COMMANDS)
+        assert len(set(names)) == len(names)
         out = _cli("list")
         other = next(line for line in out.stdout.splitlines()
                      if line.startswith("other:"))
-        names = [w for w in other.split()[1:] if w[0] not in "<["]
-        assert "trace" in names
-        for name in names:
-            try:
-                _dispatch(Probe(name), Parser())
-            except Routed:
-                pass
+        listed = [w for w in other.split()[1:] if w[0] not in "<["]
+        assert listed + ["list"] == names
         flat = " ".join(_cli("--help").stdout.split())
         targets = flat.split("positional arguments: target ", 1)[1]
         targets = targets.split(" args ", 1)[0].split(" | ")
-        assert set(names) | {"figN", "tableN", "list"} == set(targets)
+        assert targets == ["figN", "tableN"] + names
 
 
 class TestProfileReport:

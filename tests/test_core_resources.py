@@ -6,6 +6,14 @@ from hypothesis import strategies as st
 
 from repro.core.engine import SimulationError, Simulator
 from repro.core.resources import AllOf, AnyOf, FifoServer, Gate, Resource, Store
+from repro.hardware.path import PipelinePath, Stage
+
+
+def _serve_at(srv, arrival, nbytes):
+    """Reserve ``srv`` for one burst arriving at ``arrival`` through the
+    path kernel; returns the absolute completion time."""
+    path = PipelinePath(srv.sim, [Stage(srv)], chunk_bytes=1 << 30)
+    return path.schedule(nbytes, start=arrival)[1]
 
 
 class TestResource:
@@ -123,11 +131,12 @@ class TestFifoServer:
         assert done == [2.0, 5.0]
 
     def test_serve_at_future_arrival(self):
+        """A reservation for a future arrival starts then, and a later
+        call for an earlier arrival queues behind it (call order)."""
         sim = Simulator()
         srv = FifoServer(sim, bw_bytes_per_us=10.0)
-        assert srv.serve_at(5.0, 10) == 6.0
-        # second arrival earlier than next_free queues behind
-        assert srv.serve_at(0.0, 10) == 7.0
+        assert _serve_at(srv, 5.0, 10) == 6.0
+        assert _serve_at(srv, 0.0, 10) == 7.0
 
     def test_utilization_and_stats(self):
         sim = Simulator()
@@ -165,12 +174,13 @@ class TestFifoServer:
     @given(arrivals=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_property_serve_at_never_overlaps(self, arrivals):
-        """Service intervals from serve_at never overlap (FIFO invariant)."""
+        """Service intervals of path reservations never overlap (FIFO
+        invariant)."""
         sim = Simulator()
         srv = FifoServer(sim, bw_bytes_per_us=3.0, overhead_us=0.1)
         prev_done = 0.0
         for a in arrivals:
-            done = srv.serve_at(a, 9)
+            done = _serve_at(srv, a, 9)
             start = done - (0.1 + 3.0)
             assert start >= prev_done - 1e-9
             assert start >= a - 1e-9

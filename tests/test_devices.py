@@ -83,9 +83,9 @@ class TestGmProtocol:
         world.run(fn)
         gm1 = world.fabric.gm(1)
         # the pool returns to its initial provisioning level
-        from repro.mpi.devices.mpich_gm import MpichGmDevice
-        top = gm1.size_class(MpichGmDevice.EAGER_LIMIT)
-        expected = MpichGmDevice.PROVIDED_PER_CLASS * (top - 4)
+        from repro.mpi.devices.mpich_gm import GmChannel
+        top = gm1.size_class(GmChannel.EAGER_LIMIT)
+        expected = GmChannel.PROVIDED_PER_CLASS * (top - 4)
         assert gm1.provided_count == expected
 
     def test_no_registration_below_16k(self):

@@ -7,7 +7,15 @@ from repro.hardware.bus import make_pci_bus, make_pcix_bus
 from repro.hardware.cluster import Cluster
 from repro.hardware.cpu import HostCPU, MemcpyModel
 from repro.hardware.node import Node
+from repro.hardware.path import PipelinePath, Stage
 from repro.hardware.switch import CrossbarSwitch
+
+
+def _walk(stage, nbytes, first=True):
+    """Delivery time of one single-chunk message walked through ``stage``
+    alone, starting at t=0 (the path kernel the fabrics use)."""
+    path = PipelinePath(stage.server.sim, [stage], chunk_bytes=1 << 30)
+    return path.schedule(nbytes, start=0.0, charge_first_extra=first)[1]
 
 
 class TestMemcpyModel:
@@ -63,19 +71,30 @@ class TestBuses:
         assert pci.dma_setup_us > pcix.dma_setup_us
 
     def test_serve_at_first_burst_setup(self):
+        """A bus stage charges the DMA setup on a message's first burst."""
         sim = Simulator()
         bus = make_pcix_bus(sim, 0)
-        t1 = bus.serve_at(0.0, 1024, first_burst=True)
+        t1 = _walk(bus.stage("dma"), 1024, first=True)
         bus2 = make_pcix_bus(sim, 1)
-        t2 = bus2.serve_at(0.0, 1024, first_burst=False)
+        t2 = _walk(bus2.stage("dma"), 1024, first=False)
         assert t1 - t2 == pytest.approx(bus.dma_setup_us)
+        assert t2 == pytest.approx(bus.burst_overhead_us
+                                   + 1024 / bus.server.bw)
+
+    def test_stage_takes_fabric_burst_costs(self):
+        sim = Simulator()
+        stage = make_pci_bus(sim, 0).stage("dst_bus", burst_us=0.7,
+                                           setup_us=0.0)
+        assert (stage.overhead_us, stage.first_chunk_extra_us) == (0.7, 0.0)
+        assert stage.name == "dst_bus"
 
     def test_both_directions_share_one_server(self):
         sim = Simulator()
         bus = make_pcix_bus(sim, 0)
-        t1 = bus.serve_at(0.0, 100_000)
-        t2 = bus.serve_at(0.0, 100_000)
+        t1 = _walk(bus.stage("dma_read"), 100_000)
+        t2 = _walk(bus.stage("dma_write"), 100_000)
         assert t2 > t1  # second transfer queued behind the first
+        assert bus.bytes_moved == 200_000
 
     def test_unknown_bus_kind(self):
         sim = Simulator()
@@ -90,16 +109,16 @@ class TestSwitch:
         sw = CrossbarSwitch(sim, nports=8, port_bw_bytes_per_us=100.0,
                             cut_through_us=0.2)
         port = sw.out_port(3)
-        t1 = port.serve_at(0.0, 1000)
-        t2 = port.serve_at(0.0, 1000)
+        t1 = _walk(Stage(port), 1000)
+        t2 = _walk(Stage(port), 1000)
         assert t2 == pytest.approx(2 * t1)
 
     def test_distinct_ports_independent(self):
         sim = Simulator()
         sw = CrossbarSwitch(sim, nports=8, port_bw_bytes_per_us=100.0,
                             cut_through_us=0.2)
-        t1 = sw.out_port(0).serve_at(0.0, 1000)
-        t2 = sw.out_port(1).serve_at(0.0, 1000)
+        t1 = _walk(Stage(sw.out_port(0)), 1000)
+        t2 = _walk(Stage(sw.out_port(1)), 1000)
         assert t1 == t2  # no cross-port interference (full crossbar)
 
     def test_port_range_checked(self):
@@ -113,8 +132,8 @@ class TestSwitch:
         sim = Simulator()
         sw = CrossbarSwitch(sim, nports=4, port_bw_bytes_per_us=10.0,
                             cut_through_us=0.0)
-        sw.out_port(0).serve_at(0.0, 500)
-        sw.out_port(1).serve_at(0.0, 700)
+        _walk(Stage(sw.out_port(0)), 500)
+        _walk(Stage(sw.out_port(1)), 700)
         assert sw.total_bytes_switched() == 1200
 
 

@@ -131,6 +131,54 @@ class TestThroughput:
         assert got == pytest.approx(expected)
 
 
+def _mixed_path(sim, bws, ovs, chunk):
+    """Bus, NIC processor, an SRAM written cut-through then read out
+    store-and-forward (one server, two stages), an uplink hop | a
+    latency-only switch, the receive engine and the destination bus."""
+    srv = [FifoServer(sim, bw, overhead_us=ov, name=f"s{i}")
+           for i, (bw, ov) in enumerate(zip(bws, ovs))]
+    stages = [
+        Stage(srv[0], first_chunk_extra_us=0.25, name="src_bus"),
+        Stage(srv[1], first_chunk_extra_us=1.7, trailing_us=0.3, name="proc"),
+        Stage(srv[2], name="sram_w"),
+        Stage(srv[2], cut_through=False, name="sram_r"),
+        Stage(srv[3], latency_us=0.04, name="uplink"),
+        Stage(None, latency_us=0.2, name="switch"),
+        Stage(srv[4], overhead_us=0.05, name="rx"),
+        Stage(srv[5], first_chunk_extra_us=0.25, name="dst_bus"),
+    ]
+    return PipelinePath(sim, stages, chunk_bytes=chunk, split_stage=4), srv
+
+
+@given(bws=st.lists(st.floats(min_value=50.0, max_value=5000.0),
+                    min_size=6, max_size=6),
+       ovs=st.lists(st.floats(min_value=0.0, max_value=2.0),
+                    min_size=6, max_size=6),
+       chunk=st.sampled_from([1000, 4096, 16 * 1024]),
+       msgs=st.lists(st.tuples(st.integers(min_value=0, max_value=60_000),
+                               st.floats(min_value=0.0, max_value=500.0)),
+                     min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_property_schedule_is_split_phase_walk(bws, ovs, chunk, msgs):
+    """`schedule` reserves through the same kernel as the injector's
+    split-phase walk (source stages, then destination stages, on the
+    same chunk entries): times and server state agree bit for bit."""
+    sim = Simulator()
+    whole, whole_srv = _mixed_path(sim, bws, ovs, chunk)
+    split, split_srv = _mixed_path(sim, bws, ovs, chunk)
+    for nbytes, t0 in msgs:
+        local, delivered = whole.schedule(nbytes, start=t0, local_stage=2)
+        entries = [[t0, t0, csize, i == 0]
+                   for i, csize in enumerate(chunk_sizes(nbytes, chunk))]
+        src_local = split.walk_range(0, 5, entries, 2)
+        split.walk_range(5, len(split.stages), entries)
+        assert local == max(t0, src_local)
+        assert delivered == max([t0] + [e[1] for e in entries])
+    for a, b in zip(whole_srv, split_srv):
+        assert (a.next_free, a.busy_time, a.transfers, a.bytes_moved) == \
+            (b.next_free, b.busy_time, b.transfers, b.bytes_moved)
+
+
 def _untimed(payload):
     """A payload minus its host wall-clock counters (not results)."""
     metrics = dict(payload["metrics"])

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -166,6 +168,19 @@ def test_ledger_rejects_unknown_event(tmp_path):
     with RunLedger(tmp_path / "l.jsonl") as ledger:
         with pytest.raises(ValueError):
             ledger.emit("not_an_event")
+
+
+def test_ledger_validator_module_runs_without_warnings(tmp_path):
+    """`python -m repro.obs.ledger` must not be imported twice by runpy."""
+    path = tmp_path / "runs.jsonl"
+    with RunLedger(path) as ledger:
+        ledger.emit("run_started", spec="x", digest="d1")
+        ledger.emit("run_finished", spec="x", digest="d1", wall_s=0.1)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-m", "repro.obs.ledger", str(path)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("OK: ")
 
 
 # ---------------------------------------------------------------------------
