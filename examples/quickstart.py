@@ -9,14 +9,12 @@ the building blocks of the paper's Figures 1 and 2.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.mpi import mpi_run
 
 
 def pingpong(comm, nbytes=8, iters=50):
     """Classic latency test; rank 0 returns the one-way latency in us."""
-    buf = comm.alloc_array(nbytes, dtype=np.uint8)
+    buf = comm.alloc_array(nbytes, dtype="uint8")
     t0 = comm.sim.now
     for i in range(iters):
         if comm.rank == 0:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.apps.classes import ProblemConfig
+from repro.mpi.datatypes import ITEMSIZE
 
 __all__ = ["AppBase"]
 
@@ -54,11 +53,15 @@ class AppBase:
         if us > 0:
             yield comm.cpu.compute(us)
 
-    def alloc_vec(self, comm, n: int, dtype=np.float64):
-        """Array-backed in verify mode, placeholder otherwise."""
+    def alloc_vec(self, comm, n: int, dtype: str = "float64"):
+        """Array-backed in verify mode, placeholder otherwise.
+
+        ``dtype`` is a numpy dtype name; a placeholder takes its size
+        from ``ITEMSIZE``, so paper mode never imports numpy.
+        """
         if self.verify:
             return comm.alloc_array(int(n), dtype=dtype)
-        return comm.alloc(int(n) * np.dtype(dtype).itemsize)
+        return comm.alloc(int(n) * ITEMSIZE[dtype])
 
     def alloc_bytes(self, comm, nbytes: int):
         return comm.alloc(int(max(nbytes, 1)))

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.apps.base import AppBase
 
 __all__ = ["CGBench"]
@@ -69,6 +67,8 @@ class CGBench(AppBase):
         self.t_src = perm.index(comm.rank)
 
         if self.verify:
+            import numpy as np
+
             rng = np.random.default_rng(7)
             dense = rng.standard_normal((self.na, self.na))
             A = dense.T @ dense / self.na + np.eye(self.na) * self.na * 0.05
@@ -161,6 +161,8 @@ class CGBench(AppBase):
     def finalize(self, comm):
         if not self.verify:
             return
+        import numpy as np
+
         # residual of the final solve against the numpy reference
         yield from self._matvec(comm, self.x, self.q)
         res = self.r.data  # r tracked the true residual during CG

@@ -15,8 +15,6 @@ spectrum is additionally compared against ``numpy.fft.fftn`` on rank 0.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.base import AppBase
 from repro.mpi.constants import SUM
 
@@ -45,6 +43,8 @@ class FTBench(AppBase):
         self.chk_a = self.alloc_vec(comm, 2)
         self.chk_b = self.alloc_vec(comm, 2)
         if self.verify:
+            import numpy as np
+
             rng = np.random.default_rng(3 + comm.rank)
             init = (rng.standard_normal((self.nz_loc, ny, nx)) +
                     1j * rng.standard_normal((self.nz_loc, ny, nx)))
@@ -56,11 +56,11 @@ class FTBench(AppBase):
     # -- complex views over float64-backed buffers ----------------------
     @staticmethod
     def _cview(buf, shape):
-        return buf.data.view(np.complex128).reshape(shape)
+        return buf.data.view("complex128").reshape(shape)
 
     @staticmethod
     def _set(buf, arr):
-        buf.data.view(np.complex128).reshape(-1)[:] = arr.reshape(-1)
+        buf.data.view("complex128").reshape(-1)[:] = arr.reshape(-1)
 
     # -- distributed transforms ------------------------------------------
     def _forward(self, comm):
@@ -68,6 +68,8 @@ class FTBench(AppBase):
         p = comm.size
         yield from self.work(comm, 0.30)
         if self.verify:
+            import numpy as np
+
             a = self._cview(self.field, (self.nz_loc, self.ny, self.nx)).copy()
             a = np.fft.fft(a, axis=2)   # x
             a = np.fft.fft(a, axis=1)   # y
@@ -77,6 +79,8 @@ class FTBench(AppBase):
         yield from comm.alltoall(self.scratch, self.scratch2)
         yield from self.work(comm, 0.20)
         if self.verify:
+            import numpy as np
+
             t = self._cview(self.scratch2, (p, self.nz_loc, self.ny, self.nx_loc))
             pencil = np.transpose(t, (3, 2, 0, 1)).reshape(self.nx_loc, self.ny, self.nz)
             self._set(self.spectrum, np.fft.fft(pencil, axis=2))  # z
@@ -86,6 +90,8 @@ class FTBench(AppBase):
         p = comm.size
         yield from self.work(comm, 0.20)
         if self.verify:
+            import numpy as np
+
             pencil = np.fft.ifft(
                 spec_arr.reshape(self.nx_loc, self.ny, self.nz), axis=2)
             blocks = [pencil[:, :, d * self.nz_loc:(d + 1) * self.nz_loc]
@@ -94,6 +100,8 @@ class FTBench(AppBase):
         yield from comm.alltoall(self.scratch, self.scratch2)
         yield from self.work(comm, 0.30)
         if self.verify:
+            import numpy as np
+
             t = self._cview(self.scratch2, (p, self.nx_loc, self.ny, self.nz_loc))
             slab = np.transpose(t, (3, 2, 0, 1)).reshape(self.nz_loc, self.ny, self.nx)
             slab = np.fft.ifft(slab, axis=1)
@@ -118,6 +126,8 @@ class FTBench(AppBase):
     def finalize(self, comm):
         if not self.verify:
             return
+        import numpy as np
+
         # 1. local end-to-end check: field == initial * EVOLVE^niters
         k = self.cfg.niters
         got = self._cview(self.field, (self.nz_loc, self.ny, self.nx))
@@ -126,21 +136,21 @@ class FTBench(AppBase):
         ok = bool(np.abs(got - want).max() / scale < 1e-9)
         # 2. spectrum vs numpy.fft.fftn on the gathered cube (rank 0)
         spec = self._cview(self.spectrum, (-1,)).copy()
-        sbuf = comm.alloc_array(2 * spec.size, dtype=np.float64)
-        sbuf.data.view(np.complex128)[:] = spec
-        gspec = comm.alloc_array(2 * spec.size * comm.size, dtype=np.float64) \
+        sbuf = comm.alloc_array(2 * spec.size, dtype="float64")
+        sbuf.data.view("complex128")[:] = spec
+        gspec = comm.alloc_array(2 * spec.size * comm.size, dtype="float64") \
             if comm.rank == 0 else None
         yield from comm.gather(sbuf, gspec, root=0)
-        obuf = comm.alloc_array(2 * self.initial.size, dtype=np.float64)
-        obuf.data.view(np.complex128)[:] = self.initial.reshape(-1)
-        gorig = comm.alloc_array(2 * self.initial.size * comm.size, dtype=np.float64) \
+        obuf = comm.alloc_array(2 * self.initial.size, dtype="float64")
+        obuf.data.view("complex128")[:] = self.initial.reshape(-1)
+        gorig = comm.alloc_array(2 * self.initial.size * comm.size, dtype="float64") \
             if comm.rank == 0 else None
         yield from comm.gather(obuf, gorig, root=0)
         if comm.rank == 0:
             p = comm.size
-            cube = gorig.data.view(np.complex128).reshape(self.nz, self.ny, self.nx)
+            cube = gorig.data.view("complex128").reshape(self.nz, self.ny, self.nx)
             ref = np.fft.fftn(cube)  # axes (z, y, x)
-            got_spec = gspec.data.view(np.complex128).reshape(
+            got_spec = gspec.data.view("complex128").reshape(
                 p, self.nx_loc, self.ny, self.nz)
             # transposed layout is (x, y, z): rearrange the reference
             ref_t = np.transpose(ref, (2, 1, 0))  # (nx, ny, nz)

@@ -16,8 +16,6 @@ conservation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.base import AppBase
 
 __all__ = ["ISBench"]
@@ -34,19 +32,21 @@ class ISBench(AppBase):
         p = comm.size
         self.max_key = self.nbuckets * 64
         if self.verify:
+            import numpy as np
+
             rng = np.random.default_rng(1234 + comm.rank)
-            self.keys = comm.alloc_array(self.local_n, dtype=np.int32)
+            self.keys = comm.alloc_array(self.local_n, dtype="int32")
             self.keys.data[:] = rng.integers(0, self.max_key, self.local_n)
         else:
             self.keys = comm.alloc(self.local_n * 4)  # NPB keys are int32
-        self.bucket_hist = self.alloc_vec(comm, self.nbuckets, dtype=np.int64)
-        self.bucket_sum = self.alloc_vec(comm, self.nbuckets, dtype=np.int64)
-        self.count_send = self.alloc_vec(comm, p, dtype=np.int64)
-        self.count_recv = self.alloc_vec(comm, p, dtype=np.int64)
+        self.bucket_hist = self.alloc_vec(comm, self.nbuckets, dtype="int64")
+        self.bucket_sum = self.alloc_vec(comm, self.nbuckets, dtype="int64")
+        self.count_send = self.alloc_vec(comm, p, dtype="int64")
+        self.count_recv = self.alloc_vec(comm, p, dtype="int64")
         # redistribution buffers sized generously (uniform keys)
         self.redist_cap = max(self.local_n * 2, 64)
-        self.sendbuf = self.alloc_vec(comm, self.redist_cap, dtype=np.int32)
-        self.recvbuf = self.alloc_vec(comm, self.redist_cap, dtype=np.int32)
+        self.sendbuf = self.alloc_vec(comm, self.redist_cap, dtype="int32")
+        self.recvbuf = self.alloc_vec(comm, self.redist_cap, dtype="int32")
         self.received_n = 0
         yield from comm.barrier()
 
@@ -57,6 +57,8 @@ class ISBench(AppBase):
         p = comm.size
         yield from self.work(comm, 0.35)  # local histogramming
         if self.verify:
+            import numpy as np
+
             hist, _ = np.histogram(self.keys.data,
                                    bins=self.nbuckets, range=(0, self.max_key))
             self.bucket_hist.data[:] = hist
@@ -64,6 +66,8 @@ class ISBench(AppBase):
 
         # split buckets over processes, build per-destination key runs
         if self.verify:
+            import numpy as np
+
             dest_of_key = (self.keys.data * p // self.max_key).astype(np.int64)
             order = np.argsort(dest_of_key, kind="stable")
             sorted_keys = self.keys.data[order]
@@ -96,11 +100,13 @@ class ISBench(AppBase):
 
         if not self.verify:
             return
+        import numpy as np
+
         # sort what we received and check global order + conservation
         mine = np.sort(self.recvbuf.data[:self.received_n].astype(np.int64))
         lo = int(mine[0]) if len(mine) else self.max_key
         hi = int(mine[-1]) if len(mine) else -1
-        edge = comm.alloc_array(1, dtype=np.int64)
+        edge = comm.alloc_array(1, dtype="int64")
         if comm.rank < comm.size - 1:
             edge.data[0] = hi
             yield from comm.send(edge, dest=comm.rank + 1, tag=99)
@@ -109,8 +115,8 @@ class ISBench(AppBase):
             yield from comm.recv(edge, source=comm.rank - 1, tag=99)
             left_hi = edge.data[0]
             ok = ok and (len(mine) == 0 or left_hi <= lo)
-        count = comm.alloc_array(1, dtype=np.int64)
-        total = comm.alloc_array(1, dtype=np.int64)
+        count = comm.alloc_array(1, dtype="int64")
+        total = comm.alloc_array(1, dtype="int64")
         count.data[0] = self.received_n
         yield from comm.allreduce(count, total, op=SUM)
         ok = ok and (total.data[0] == self.total_keys)

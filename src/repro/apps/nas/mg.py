@@ -13,7 +13,7 @@ every cycle.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from repro.apps.base import AppBase
 from repro.apps.classes import proc_grid_3d
@@ -39,6 +39,8 @@ class MGBench(AppBase):
             dims = tuple(d // 2 for d in dims)
         self.coords = self._coords(comm.rank)
         if self.verify:
+            import numpy as np
+
             self.u = [np.zeros((d[0] + 2, d[1] + 2, d[2] + 2)) for d in self.levels]
             self.rhs = [np.zeros_like(a) for a in self.u]
             rng = np.random.default_rng(11 + comm.rank)
@@ -50,7 +52,7 @@ class MGBench(AppBase):
             for ax in range(3):
                 shape = [d[0], d[1], d[2]]
                 shape[ax] = 1
-                n = int(np.prod(shape))
+                n = math.prod(shape)
                 self.fbuf[(lvl, ax, "s")] = self.alloc_vec(comm, n)
                 self.fbuf[(lvl, ax, "r")] = self.alloc_vec(comm, n)
         self.scal_a = self.alloc_vec(comm, 1)
@@ -155,15 +157,15 @@ class MGBench(AppBase):
             yield from self._comm3(comm, lvl + 1)      # interp's exchange
             if self.verify:
                 corr = self.u[lvl + 1][1:-1, 1:-1, 1:-1]
-                up = np.repeat(np.repeat(np.repeat(corr, 2, 0), 2, 1), 2, 2)
+                up = corr.repeat(2, 0).repeat(2, 1).repeat(2, 2)
                 d = self.levels[lvl]
                 self.u[lvl][1:-1, 1:-1, 1:-1] += up[:d[0], :d[1], :d[2]]
             yield from self._smooth(comm, lvl)
         if self.verify:
-            local = float(np.sum(self._residual(0) ** 2))
+            local = float((self._residual(0) ** 2).sum())
             self.scal_a.data[0] = local
             yield from comm.allreduce(self.scal_a, self.scal_b, op=SUM)
-            self.res_history.append(float(np.sqrt(self.scal_b.data[0])))
+            self.res_history.append(math.sqrt(self.scal_b.data[0]))
         else:
             yield from comm.allreduce(self.scal_a, self.scal_b, op=SUM)
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.apps.base import AppBase
 
 __all__ = ["SPBench"]
@@ -66,6 +64,8 @@ class SPBench(AppBase):
         # companion LHS-coefficient message buffers
         self.aux_s, self.aux_r = face(self.x_lines), face(self.x_lines)
         if self.verify:
+            import numpy as np
+
             rng = np.random.default_rng(17 + comm.rank)
             self.rhs = rng.standard_normal((self.nx_loc, self.ny_loc, self.nz))
             self.ok = True
@@ -99,6 +99,8 @@ class SPBench(AppBase):
         verify_xy = self.verify and axis in ("x", "y")
 
         if verify_xy:
+            import numpy as np
+
             d, m, nlines = self._lines_of(axis)
             a = c = -THETA
             b = 1.0 + 2.0 * THETA
@@ -114,6 +116,8 @@ class SPBench(AppBase):
             yield from comm.waitall([r1, r2])
         yield from self.work(comm, self.W_DIM / 2)
         if verify_xy:
+            import numpy as np
+
             if pred >= 0:
                 cp_in = fr.data[:nlines]
                 dp_in = fr.data[nlines:2 * nlines]
@@ -143,6 +147,8 @@ class SPBench(AppBase):
         yield from self.work(comm, self.W_DIM / 2)
         x_next = None
         if verify_xy:
+            import numpy as np
+
             x = np.zeros((nlines, m))
             if succ >= 0:
                 x_next = br.data[:nlines].copy()
@@ -160,6 +166,8 @@ class SPBench(AppBase):
 
     def _lines_of(self, axis):
         """(rhs lines, local segment length, line count) for x or y."""
+        import numpy as np
+
         if axis == "x":
             m = self.nx_loc
             d = np.transpose(self.rhs, (1, 2, 0)).reshape(-1, m).copy()
@@ -170,6 +178,8 @@ class SPBench(AppBase):
 
     def _check_lines(self, axis, d, x, x_next, last, first):
         """Residual check of the distributed tridiagonal solve."""
+        import numpy as np
+
         m = x.shape[1]
         a = c = -THETA
         b = 1.0 + 2.0 * THETA
@@ -190,6 +200,8 @@ class SPBench(AppBase):
         """z lines are rank-local; solve directly and check."""
         yield from self.work(comm, self.W_DIM / 2)
         if self.verify:
+            import numpy as np
+
             m = self.nz
             d = self.rhs.reshape(-1, m)
             # Thomas solve, vectorized over lines

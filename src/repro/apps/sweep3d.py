@@ -15,16 +15,14 @@ grid on rank 0.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.base import AppBase
 
 __all__ = ["Sweep3DBench", "sweep_grid", "serial_sweep"]
 
 #: fixed angular quadrature (6 angles)
-MU = np.array([0.23, 0.45, 0.65, 0.80, 0.92, 0.98])
-ETA = np.array([0.95, 0.85, 0.70, 0.55, 0.35, 0.15])
-XI = np.array([0.20, 0.27, 0.30, 0.25, 0.17, 0.10])
+MU = (0.23, 0.45, 0.65, 0.80, 0.92, 0.98)
+ETA = (0.95, 0.85, 0.70, 0.55, 0.35, 0.15)
+XI = (0.20, 0.27, 0.30, 0.25, 0.17, 0.10)
 SIGMA = 1.0
 SOURCE = 1.0
 
@@ -67,6 +65,8 @@ class Sweep3DBench(AppBase):
         self.buf_j_s = self.alloc_vec(comm, fj)
         self.buf_j_r = self.alloc_vec(comm, fj)
         if self.verify:
+            import numpy as np
+
             self.phi = np.zeros((self.it_loc, self.jt_loc, self.kt))
         yield from comm.barrier()
 
@@ -92,6 +92,8 @@ class Sweep3DBench(AppBase):
                 ma = a1 - a0
                 inflow_k = None
                 if self.verify:
+                    import numpy as np
+
                     inflow_k = np.zeros((self.it_loc, self.jt_loc, ma))
                 for k0, k1 in kbs:
                     kb = k1 - k0
@@ -112,7 +114,9 @@ class Sweep3DBench(AppBase):
     # -- real numerics -----------------------------------------------------
     def _sweep_block(self, di, dj, dk, a0, a1, k0, k1, kb, ma,
                      irange, jrange, have_i, have_j, inflow_k):
-        mu, eta, xi = MU[a0:a1], ETA[a0:a1], XI[a0:a1]
+        import numpy as np
+
+        mu, eta, xi = (np.array(q[a0:a1]) for q in (MU, ETA, XI))
         # inflow faces for this block
         fi = (self.buf_i_r.data[:self.jt_loc * kb * ma]
               .reshape(self.jt_loc, kb, ma).copy()
@@ -142,9 +146,11 @@ class Sweep3DBench(AppBase):
     def finalize(self, comm):
         if not self.verify:
             return
-        send = comm.alloc_array(self.phi.size, dtype=np.float64)
+        import numpy as np
+
+        send = comm.alloc_array(self.phi.size, dtype="float64")
         send.data[:] = self.phi.reshape(-1)
-        gath = comm.alloc_array(self.phi.size * comm.size, dtype=np.float64) \
+        gath = comm.alloc_array(self.phi.size * comm.size, dtype="float64") \
             if comm.rank == 0 else None
         yield from comm.gather(send, gath, root=0)
         if comm.rank == 0:
@@ -167,6 +173,8 @@ class Sweep3DBench(AppBase):
 
 def serial_sweep(it, jt, kt, mk, mmi, iters=1):
     """Single-process reference of the same sweep recursion."""
+    import numpy as np
+
     phi = np.zeros((it, jt, kt))
     nang = len(MU)
     kblocks = [(k, min(k + mk, kt)) for k in range(0, kt, mk)]
@@ -177,7 +185,7 @@ def serial_sweep(it, jt, kt, mk, mmi, iters=1):
             kbs = kblocks if dk > 0 else list(reversed(kblocks))
             for a0 in range(0, nang, mmi):
                 a1 = min(a0 + mmi, nang)
-                mu, eta, xi = MU[a0:a1], ETA[a0:a1], XI[a0:a1]
+                mu, eta, xi = (np.array(q[a0:a1]) for q in (MU, ETA, XI))
                 ma = a1 - a0
                 denom = SIGMA + mu + eta + xi
                 inflow_k = np.zeros((it, jt, ma))

@@ -23,9 +23,10 @@ paper's modified MPICH logging did.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PAGE_SIZE",
@@ -80,7 +81,7 @@ class Buffer:
             )
         sub = None
         if self.data is not None:
-            flat = self.data.reshape(-1).view(np.uint8)
+            flat = self.data.reshape(-1).view("uint8")
             sub = flat[offset:offset + nbytes]
         return Buffer(self.addr + offset, nbytes, self.space, sub)
 
@@ -130,7 +131,9 @@ class AddressSpace:
         self.total_allocs += 1
         return Buffer(addr, nbytes, self, data)
 
-    def alloc_array(self, shape, dtype=np.float64, recycle: bool = True) -> Buffer:
+    def alloc_array(self, shape, dtype="float64", recycle: bool = True) -> Buffer:
+        import numpy as np
+
         arr = np.zeros(shape, dtype=dtype)
         return self.alloc(arr.nbytes, data=arr, recycle=recycle)
 

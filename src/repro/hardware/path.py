@@ -333,32 +333,28 @@ class PipelinePath:
         """Latency of ``nbytes`` through an idle path (no reservations).
 
         Useful for calibration assertions; does not mutate server state.
+        It books occupancy exactly as :meth:`walk_range` does, on free
+        times kept per server, so a server that a path holds at two
+        stages (Myrinet's SRAM, a loopback's bus) is one server here
+        too, and the answer equals a ``schedule`` on fresh servers.
         """
-        sizes = chunk_sizes(nbytes, self.chunk_bytes)
-        free = [0.0] * len(self.stages)
+        free: dict = {}
         delivered = 0.0
-        for i, csize in enumerate(sizes):
-            first = i == 0
+        for i, csize in enumerate(chunk_sizes(nbytes, self.chunk_bytes)):
             head = tail = 0.0
-            for s, stage in enumerate(self.stages):
-                if stage.server is None:
-                    head += stage.latency_us
-                    tail += stage.latency_us
+            for srv, ov, extra, lat, cut, trail, inv_bw in self._flat:
+                if srv is None:
+                    head += lat
+                    tail += lat
                     continue
-                ov = stage.server.overhead if stage.overhead_us is None else stage.overhead_us
-                if first:
-                    ov += stage.first_chunk_extra_us
-                ser = csize / stage.server.bw
-                if stage.cut_through:
-                    begin = max(head, free[s])
-                    head_out = begin + ov
-                    tail_out = max(begin + ov + ser, tail + ov)
-                else:
-                    begin = max(tail, free[s])
-                    head_out = begin + ov
-                    tail_out = begin + ov + ser
-                free[s] = tail_out
-                head = head_out + stage.latency_us
-                tail = tail_out + stage.latency_us
+                if i == 0:
+                    ov += extra
+                ser = csize * inv_bw
+                nf = free.get(srv, 0.0)
+                start = max(head if cut else tail, nf)
+                occupied = start + ov + ser
+                head = start + ov + lat
+                tail = (max(occupied, tail + ov) if cut else occupied) + lat
+                free[srv] = occupied + trail
             delivered = max(delivered, tail)
         return delivered

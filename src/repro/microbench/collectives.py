@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.microbench.common import Series, _SINKS
 from repro.mpi.world import MPIWorld
 
@@ -36,8 +34,8 @@ def _alltoall_loop(comm, nbytes: int, iters: int, warmup: int):
 
 def _allreduce_loop(comm, nbytes: int, iters: int, warmup: int):
     n = max(1, nbytes // 8)
-    sbuf = comm.alloc_array(n, dtype=np.float64)
-    rbuf = comm.alloc_array(n, dtype=np.float64)
+    sbuf = comm.alloc_array(n, dtype="float64")
+    rbuf = comm.alloc_array(n, dtype="float64")
     t0 = 0.0
     for i in range(warmup + iters):
         if i == warmup:

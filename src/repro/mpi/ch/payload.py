@@ -8,11 +8,12 @@ protocol code never has to branch on it.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.memory import Buffer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["payload_of", "fill_buffer", "fill_buffer_at"]
 
@@ -21,14 +22,14 @@ def payload_of(buf: Optional[Buffer]) -> Optional[np.ndarray]:
     """Snapshot a buffer's bytes for in-flight transport (None if no data)."""
     if buf is None or buf.data is None:
         return None
-    return buf.data.reshape(-1).view(np.uint8).copy()
+    return buf.data.reshape(-1).view("uint8").copy()
 
 
 def fill_buffer(buf: Optional[Buffer], payload: Optional[np.ndarray]) -> None:
     """Copy transported bytes into a receive buffer's array (if both real)."""
     if buf is None or buf.data is None or payload is None:
         return
-    dst = buf.data.reshape(-1).view(np.uint8)
+    dst = buf.data.reshape(-1).view("uint8")
     n = min(dst.shape[0], len(payload))
     dst[:n] = payload[:n]
 
@@ -42,7 +43,7 @@ def fill_buffer_at(buf: Optional[Buffer], offset: int,
     """
     if buf is None or buf.data is None or payload is None:
         return
-    dst = buf.data.reshape(-1).view(np.uint8)
+    dst = buf.data.reshape(-1).view("uint8")
     if offset >= dst.shape[0]:
         return
     n = min(dst.shape[0] - offset, len(payload))

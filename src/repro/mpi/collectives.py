@@ -21,9 +21,8 @@ actually computed when buffers carry real arrays.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.hardware.memory import Buffer
 from repro.mpi.constants import Op
@@ -54,8 +53,8 @@ def _scratch(comm, template: Buffer, nbytes: int) -> Buffer:
 def _copy_data(dst: Optional[Buffer], src: Optional[Buffer], nbytes: int) -> None:
     if dst is None or src is None or dst.data is None or src.data is None:
         return
-    d = dst.data.reshape(-1).view(np.uint8)
-    s = src.data.reshape(-1).view(np.uint8)
+    d = dst.data.reshape(-1).view("uint8")
+    s = src.data.reshape(-1).view("uint8")
     n = min(nbytes, d.shape[0], s.shape[0])
     d[:n] = s[:n]
 
@@ -221,8 +220,6 @@ def _rdma_barrier(comm):
 
 def _rdma_allreduce(comm, sendbuf: Buffer, recvbuf: Buffer, op: Op):
     """Recursive-doubling allreduce over RDMA slot writes (small msgs)."""
-    import numpy as np
-
     size, rank = comm.size, comm.rank
     dev = comm.ep.device
     epoch = _rdma_epoch(comm)
@@ -234,7 +231,7 @@ def _rdma_allreduce(comm, sendbuf: Buffer, recvbuf: Buffer, op: Op):
         partner = rank ^ mask
         payload = None
         if acc.data is not None:
-            payload = acc.data.reshape(-1).view(np.uint8).copy()
+            payload = acc.data.reshape(-1).view("uint8").copy()
         yield from dev.rdma_signal(partner,
                                    slot=("ar", comm.ctx, epoch, rnd, rank),
                                    nbytes=sendbuf.nbytes, payload=payload)
@@ -242,6 +239,8 @@ def _rdma_allreduce(comm, sendbuf: Buffer, recvbuf: Buffer, op: Op):
             ("ar", comm.ctx, epoch, rnd, partner))
         yield comm.cpu.comm(comm.cpu.memcpy.copy_time(acc.nbytes))
         if acc.data is not None and incoming is not None:
+            import numpy as np
+
             a = acc.data.reshape(-1)
             b = np.frombuffer(incoming.tobytes(), dtype=a.dtype)[: a.shape[0]]
             acc.data.reshape(-1)[:] = op(a, b)
@@ -282,8 +281,8 @@ def alltoallv(comm, sendbuf: Buffer, sendcounts: Sequence[int],
     size, rank = comm.size, comm.rank
     if len(sendcounts) != size or len(recvcounts) != size:
         raise ValueError("alltoallv counts must have comm.size entries")
-    sdispl = np.concatenate([[0], np.cumsum(sendcounts[:-1])]).astype(int)
-    rdispl = np.concatenate([[0], np.cumsum(recvcounts[:-1])]).astype(int)
+    sdispl = list(accumulate(sendcounts[:-1], initial=0))
+    rdispl = list(accumulate(recvcounts[:-1], initial=0))
     reqs = []
     for i in range(1, size):
         src = (rank - i) % size

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.hardware.memory import Buffer
 from repro.mpi import collectives as coll
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, SUM, Op
@@ -79,7 +77,7 @@ class Communicator:
         """Allocate a raw (dataless) buffer in this rank's address space."""
         return self.ep.space.alloc(nbytes, recycle=recycle)
 
-    def alloc_array(self, shape, dtype=np.float64, recycle: bool = True) -> Buffer:
+    def alloc_array(self, shape, dtype="float64", recycle: bool = True) -> Buffer:
         """Allocate a buffer backed by a real numpy array."""
         return self.ep.space.alloc_array(shape, dtype=dtype, recycle=recycle)
 
@@ -358,8 +356,8 @@ class Communicator:
     def split(self, color: int, key: int = 0):
         """Collective split into sub-communicators by color (generator)."""
         self._split_seq += 1
-        pairs = self.alloc_array(3 * self.size, dtype=np.int64)
-        mine = self.alloc_array(3, dtype=np.int64)
+        pairs = self.alloc_array(3 * self.size, dtype="int64")
+        mine = self.alloc_array(3, dtype="int64")
         mine.data[:] = (color, key, self.rank)
         yield from self._run_coll("allgather", mine.nbytes, mine.addr,
                                   coll.allgather(self, mine, pairs))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["ANY_SOURCE", "ANY_TAG", "SUM", "PROD", "MAX", "MIN", "LAND", "BAND", "Op"]
 
 #: match any sender
@@ -13,23 +11,29 @@ ANY_TAG = -1
 
 
 class Op:
-    """A reduction operation with a numpy implementation."""
+    """A reduction operation, named after the numpy ufunc that applies it.
 
-    def __init__(self, name: str, fn) -> None:
+    Only a reduction over real data calls the ufunc, so numpy is
+    imported there and not when the operation is defined.
+    """
+
+    def __init__(self, name: str, ufunc: str) -> None:
         self.name = name
-        self.fn = fn
+        self.ufunc = ufunc
 
     def __call__(self, a, b):
         """Reduce two arrays (or scalars) elementwise."""
-        return self.fn(a, b)
+        import numpy as np
+
+        return getattr(np, self.ufunc)(a, b)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Op {self.name}>"
 
 
-SUM = Op("sum", np.add)
-PROD = Op("prod", np.multiply)
-MAX = Op("max", np.maximum)
-MIN = Op("min", np.minimum)
-LAND = Op("land", np.logical_and)
-BAND = Op("band", np.bitwise_and)
+SUM = Op("sum", "add")
+PROD = Op("prod", "multiply")
+MAX = Op("max", "maximum")
+MIN = Op("min", "minimum")
+LAND = Op("land", "logical_and")
+BAND = Op("band", "bitwise_and")

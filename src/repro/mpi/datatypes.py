@@ -1,7 +1,7 @@
 """MPI datatypes: predefined types plus contiguous/vector constructors.
 
-The simulated MPI is numpy-centric (buffers carry arrays), but the
-datatype layer matters for two things the paper's workloads exercise:
+Buffers carry real arrays only in verify-mode runs, but the datatype
+layer matters for two things the paper's workloads exercise:
 
 - **sizing**: NPB codes send "count x MPI_DOUBLE_PRECISION"; datatypes
   make those sizes explicit and checkable;
@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 __all__ = [
     "Datatype", "BYTE", "CHAR", "INT", "LONG", "FLOAT", "DOUBLE",
-    "COMPLEX", "contiguous", "vector",
+    "COMPLEX", "ITEMSIZE", "contiguous", "vector",
 ]
 
 
@@ -39,12 +37,13 @@ class Datatype:
     the span it covers in memory.  ``contiguous`` types map straight to
     DMA; derived non-contiguous types must be packed (one host copy on
     each side, charged by the communicator's typed operations).
+    ``np_dtype`` names the numpy dtype of one element (``"float64"``).
     """
 
     name: str
     size: int
     extent: int
-    np_dtype: Optional[np.dtype] = None
+    np_dtype: Optional[str] = None
     contiguous: bool = True
 
     def __post_init__(self):
@@ -60,13 +59,16 @@ class Datatype:
         return f"<Datatype {self.name}: {self.size}B/{self.extent}B{c}>"
 
 
-BYTE = Datatype("MPI_BYTE", 1, 1, np.dtype(np.uint8))
-CHAR = Datatype("MPI_CHAR", 1, 1, np.dtype(np.int8))
-INT = Datatype("MPI_INT", 4, 4, np.dtype(np.int32))
-LONG = Datatype("MPI_LONG", 8, 8, np.dtype(np.int64))
-FLOAT = Datatype("MPI_FLOAT", 4, 4, np.dtype(np.float32))
-DOUBLE = Datatype("MPI_DOUBLE", 8, 8, np.dtype(np.float64))
-COMPLEX = Datatype("MPI_DOUBLE_COMPLEX", 16, 16, np.dtype(np.complex128))
+BYTE = Datatype("MPI_BYTE", 1, 1, "uint8")
+CHAR = Datatype("MPI_CHAR", 1, 1, "int8")
+INT = Datatype("MPI_INT", 4, 4, "int32")
+LONG = Datatype("MPI_LONG", 8, 8, "int64")
+FLOAT = Datatype("MPI_FLOAT", 4, 4, "float32")
+DOUBLE = Datatype("MPI_DOUBLE", 8, 8, "float64")
+COMPLEX = Datatype("MPI_DOUBLE_COMPLEX", 16, 16, "complex128")
+
+#: bytes per element, by numpy dtype name, for sizing buffers without numpy
+ITEMSIZE = {t.np_dtype: t.size for t in (BYTE, CHAR, INT, LONG, FLOAT, DOUBLE, COMPLEX)}
 
 
 def contiguous(count: int, base: Datatype, name: str = "") -> Datatype:

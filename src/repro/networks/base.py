@@ -24,14 +24,15 @@ Delivery has two modes, mirroring where message processing happens:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.engine import Event, Simulator
 from repro.core.resources import Gate, Store
 from repro.hardware.cluster import Cluster
 from repro.hardware.path import PathSegment, PipelinePath, chunk_sizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Packet", "NetPort", "Fabric"]
 

@@ -19,14 +19,15 @@ Timing model split of responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.engine import Event, Simulator
 from repro.core.resources import Gate
 from repro.hardware.memory import Buffer, PinDownCache, RegistrationError
 from repro.networks.base import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["WorkCompletion", "CompletionQueue", "MemoryRegion", "QueuePair", "VapiDevice"]
 
@@ -246,8 +247,8 @@ class VapiDevice:
         if pkt.kind == "ib.rdma":
             rbuf: Buffer = pkt.meta["remote_buf"]
             if pkt.payload is not None and rbuf.data is not None:
-                n = min(len(pkt.payload), rbuf.data.reshape(-1).view(np.uint8).shape[0])
-                rbuf.data.reshape(-1).view(np.uint8)[:n] = pkt.payload[:n]
+                n = min(len(pkt.payload), rbuf.data.reshape(-1).view("uint8").shape[0])
+                rbuf.data.reshape(-1).view("uint8")[:n] = pkt.payload[:n]
             if pkt.meta.get("imm") is not None:
                 wc = WorkCompletion(-1, "rdma_write", pkt.nbytes, pkt.src_rank, pkt.meta["imm"])
                 self.recv_cq.push(wc)
@@ -258,7 +259,7 @@ class VapiDevice:
             rbuf: Buffer = pkt.meta["remote_buf"]
             payload = None
             if rbuf.data is not None:
-                payload = rbuf.data.reshape(-1).view(np.uint8).copy()
+                payload = rbuf.data.reshape(-1).view("uint8").copy()
             resp = Packet(
                 kind="ib.read_resp", src_rank=self.rank, dst_rank=pkt.meta["reply_to"],
                 nbytes=rbuf.nbytes, payload=payload,
@@ -270,7 +271,7 @@ class VapiDevice:
         if pkt.kind == "ib.read_resp":
             lbuf: Buffer = pkt.meta["local_buf"]
             if pkt.payload is not None and lbuf.data is not None:
-                dst = lbuf.data.reshape(-1).view(np.uint8)
+                dst = lbuf.data.reshape(-1).view("uint8")
                 n = min(len(pkt.payload), dst.shape[0])
                 dst[:n] = pkt.payload[:n]
             wc = WorkCompletion(pkt.meta["wr_id"], "rdma_read", pkt.nbytes, pkt.src_rank)
@@ -285,8 +286,8 @@ class VapiDevice:
                 )
             wr_id, buf = qp.posted_recvs.pop(0)
             if pkt.payload is not None and buf.data is not None:
-                n = min(len(pkt.payload), buf.data.reshape(-1).view(np.uint8).shape[0])
-                buf.data.reshape(-1).view(np.uint8)[:n] = pkt.payload[:n]
+                n = min(len(pkt.payload), buf.data.reshape(-1).view("uint8").shape[0])
+                buf.data.reshape(-1).view("uint8")[:n] = pkt.payload[:n]
             wc = WorkCompletion(wr_id, "recv", pkt.nbytes, pkt.src_rank)
             self.recv_cq.push(wc)
             return wc

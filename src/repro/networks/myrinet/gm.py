@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.core.engine import Event, Simulator
 from repro.hardware.memory import Buffer, PinDownCache
 from repro.networks.base import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["GmRecvEvent", "GmPort", "GmTokenError"]
 
@@ -159,7 +160,7 @@ class GmPort:
         if pkt.kind == "gm.directed":
             rbuf: Buffer = pkt.meta["remote_buf"]
             if pkt.payload is not None and rbuf.data is not None:
-                dst = rbuf.data.reshape(-1).view(np.uint8)
+                dst = rbuf.data.reshape(-1).view("uint8")
                 n = min(len(pkt.payload), dst.shape[0])
                 dst[:n] = pkt.payload[:n]
             return GmRecvEvent(pkt.src_rank, pkt.nbytes, None,
@@ -182,7 +183,7 @@ class GmPort:
                                data={"src": pkt.src_rank, "size_class": klass,
                                      "remaining": len(queue)})
             if pkt.payload is not None and buf.data is not None:
-                dst = buf.data.reshape(-1).view(np.uint8)
+                dst = buf.data.reshape(-1).view("uint8")
                 n = min(len(pkt.payload), dst.shape[0])
                 dst[:n] = pkt.payload[:n]
             return GmRecvEvent(pkt.src_rank, pkt.nbytes, buf,

@@ -18,14 +18,15 @@ numbers (Fig. 11) despite its excellent latency.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.engine import Event, Simulator
 from repro.core.resources import Gate
 from repro.hardware.memory import Buffer, NicTlb
 from repro.networks.base import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TxHandle", "RxHandle", "TportsPort"]
 
@@ -294,6 +295,6 @@ class TportsPort:
     def _fill(buf: Optional[Buffer], payload: Optional[np.ndarray]) -> None:
         if buf is None or payload is None or buf.data is None:
             return
-        dst = buf.data.reshape(-1).view(np.uint8)
+        dst = buf.data.reshape(-1).view("uint8")
         n = min(len(payload), dst.shape[0])
         dst[:n] = payload[:n]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
@@ -339,6 +338,9 @@ class SweepExecutor:
     # -- worker-pool lifecycle -----------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
+            # only ``jobs > 1`` builds a pool; serial start-up skips the import
+            import multiprocessing
+
             self._pool = multiprocessing.Pool(processes=self.jobs)
             self._owns_pool = True
         return self._pool

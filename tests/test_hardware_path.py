@@ -97,6 +97,16 @@ class TestThroughput:
             total += 16 * 1024
         assert total / last == pytest.approx(200.0, rel=0.02)
 
+    def test_zero_load_latency_matches_fresh_schedule(self):
+        """The idle-path answer is a `schedule` on fresh servers, also
+        where a path holds one server at two stages and where a stage's
+        trailing housekeeping delays the next chunk."""
+        for nbytes in (0, 40_000, 64 * 1024):
+            for name, path in _fresh_paths():
+                expected = path.zero_load_latency(nbytes)
+                _, got = path.schedule(nbytes, start=0.0)
+                assert got == expected, (name, nbytes)
+
     def test_local_stage_completion_precedes_delivery(self):
         sim = Simulator()
         path = make_path(sim, bws=[1000.0, 10.0])
@@ -123,12 +133,6 @@ class TestThroughput:
         times = [path.schedule(n, start=0.0)[1] for n in sizes]
         assert times == sorted(times)
 
-    def test_zero_load_latency_matches_fresh_schedule(self):
-        sim = Simulator()
-        path = make_path(sim, bws=[400.0, 100.0], overheads=[0.5, 0.2])
-        expected = path.zero_load_latency(40_000)
-        _, got = path.schedule(40_000, start=0.0)
-        assert got == pytest.approx(expected)
 
 
 def _mixed_path(sim, bws, ovs, chunk):
@@ -148,6 +152,24 @@ def _mixed_path(sim, bws, ovs, chunk):
         Stage(srv[5], first_chunk_extra_us=0.25, name="dst_bus"),
     ]
     return PipelinePath(sim, stages, chunk_bytes=chunk, split_stage=4), srv
+
+
+def _fresh_paths():
+    """Idle paths to compare `zero_load_latency` with `schedule` on: a
+    plain two-stage path, the mixed path with its NIC processor as the
+    bottleneck (trailing occupancy) and with its SRAM as the bottleneck
+    (one server at two stages), and each fabric's NIC loopback path,
+    which crosses the host bus twice."""
+    from repro.mpi.world import MPIWorld
+
+    yield "plain", make_path(Simulator(), bws=[400.0, 100.0], overheads=[0.5, 0.2])
+    ovs = [0.1, 0.4, 0.0, 0.2, 0.3, 0.1]
+    for name, bws in (("mixed-proc", [800.0, 100.0, 500.0, 250.0, 250.0, 800.0]),
+                      ("mixed-sram", [800.0, 300.0, 200.0, 250.0, 250.0, 800.0])):
+        yield name, _mixed_path(Simulator(), bws, ovs, 4096)[0]
+    for network in ("infiniband", "myrinet", "quadrics"):
+        world = MPIWorld(4, ppn=2, network=network)
+        yield f"{network}-loopback", world.fabric.path(0, 0)
 
 
 @given(bws=st.lists(st.floats(min_value=50.0, max_value=5000.0),
