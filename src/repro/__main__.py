@@ -140,8 +140,8 @@ def _parse_timeline(ns):
 def _render_timelines(payload, channels=None) -> None:
     """Print an ASCII chart per timeline-enabled world in ``payload``."""
     from repro.experiments.ascii_plot import line_chart
-    from repro.microbench.common import Series
     from repro.obs.diff import PREFERRED_CHANNELS
+    from repro.series import Series
 
     for tl in payload.get("timeline") or ():
         avail = tl.get("channels", {})

@@ -25,11 +25,11 @@ from dataclasses import fields as dataclass_fields
 from typing import Optional, Sequence
 
 from repro.apps import run_app
-from repro.microbench.common import Series
 from repro.networks import canonical_network
 from repro.networks.infiniband.params import InfiniBandParams
 from repro.networks.myrinet.params import MyrinetParams
 from repro.networks.quadrics.params import QuadricsParams
+from repro.series import Series
 
 __all__ = ["sweep_parameter", "sensitivity_report", "PARAMS_BY_NETWORK"]
 

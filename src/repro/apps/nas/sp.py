@@ -44,7 +44,6 @@ class SPBench(AppBase):
         nx, ny, nz = self.cfg.size
         self.nx_loc, self.ny_loc, self.nz = nx // q, ny // q, nz
         self.ci, self.cj = divmod(comm.rank, q)
-        comps = 1 if self.verify else 1  # buffers sized explicitly below
 
         def face(n_points):
             n = int(n_points * (2 if self.verify else self.FACE_DOUBLES))

@@ -18,7 +18,6 @@ from repro.apps.classes import get_problem
 from repro.apps.nas import (BTBench, CGBench, FTBench, ISBench, LUBench,
                             MGBench, SPBench)
 from repro.apps.sweep3d import Sweep3DBench
-from repro.core.engine import gc_paused
 from repro.mpi.world import MPIWorld
 from repro.profiling.recorder import Recorder
 from repro.runtime.spec import RunSpec, thaw_mapping
@@ -123,17 +122,10 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
     }
 
 
-def _decode_recorder(payload: dict) -> Recorder:
-    """The payload's Recorder, built with the collector paused: a large
-    profile is a few hundred thousand fresh tuples and no cycles."""
-    with gc_paused():
-        return Recorder.from_dict(payload["recorder"])
-
-
 def app_result_from_payload(payload: dict) -> AppResult:
     """Rehydrate an :class:`AppResult` (incl. a private Recorder) from a
     payload."""
-    recorder = (_decode_recorder(payload)
+    recorder = (Recorder.from_dict(payload["recorder"])
                 if payload["recorder"] is not None else None)
     return AppResult(
         app=payload["app"], klass=payload["klass"], network=payload["network"],

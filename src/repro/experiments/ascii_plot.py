@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from repro.core.units import fmt_size
-from repro.microbench.common import Series
+from repro.series import Series
 
 __all__ = ["line_chart", "bar_chart", "table"]
 

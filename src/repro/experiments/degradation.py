@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro import runtime
 from repro.experiments.ascii_plot import line_chart, table
-from repro.microbench.common import Series, series_from_payload
+from repro.series import Series, series_from_payload
 from repro.runtime.executor import is_error_payload
 from repro.runtime.spec import RunSpec
 

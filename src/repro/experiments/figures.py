@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.ascii_plot import bar_chart, line_chart
-from repro.microbench.buffer_reuse import REUSE_PERCENTS
-from repro.microbench.common import Series, series_from_payload
 from repro.networks import NETWORKS
 from repro.runtime import RunSpec, run_specs
+from repro.series import REUSE_PERCENTS, Series, series_from_payload
 
 __all__ = ["FigureResult", "FIGURES", "run_figure"]
 

@@ -81,8 +81,8 @@ def _variance_appendix() -> str:
     perturbation (faults, what-if knobs) makes iterations differ.
     """
     from repro.experiments.ascii_plot import table
-    from repro.microbench.common import series_from_payload
     from repro.runtime.spec import RunSpec
+    from repro.series import series_from_payload
 
     specs = [RunSpec.microbench("latency", net, sizes=(4, 16384), stats=True)
              for net in ("infiniband", "myrinet", "quadrics")]

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.apps.runner import _decode_recorder
 from repro.experiments.ascii_plot import table as render_table
 from repro.networks import NETWORKS
 from repro.profiling import (
+    Recorder,
     buffer_reuse_rate,
     collective_stats,
     intranode_stats,
@@ -58,7 +58,7 @@ class TableResult:
 
 def _profile_summary(payload: dict) -> dict:
     """Every profiling statistic Tables 1 and 3-6 read off one app run."""
-    rec = _decode_recorder(payload)
+    rec = Recorder.from_dict(payload["recorder"])
     return {"sizes": message_size_histogram(rec),
             "nonblocking": nonblocking_stats(rec),
             "reuse": buffer_reuse_rate(rec),

@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps import run_app
 from repro.experiments.paper_data import MICRO, NETWORK_ORDER, TABLE2
-from repro.microbench import (measure_allreduce, measure_alltoall,
-                              measure_bandwidth, measure_bidir_bandwidth,
-                              measure_bidir_latency, measure_host_overhead,
-                              measure_intranode_latency, measure_latency)
 
 __all__ = ["ValidationItem", "validate_micro", "validate_table2",
            "validation_report"]
@@ -44,6 +39,11 @@ class ValidationItem:
 
 def validate_micro(quick: bool = True) -> List[ValidationItem]:
     """Measure every §3 headline number and pair it with the paper's."""
+    from repro.microbench import (measure_allreduce, measure_alltoall,
+                                  measure_bandwidth, measure_bidir_bandwidth,
+                                  measure_bidir_latency, measure_host_overhead,
+                                  measure_intranode_latency, measure_latency)
+
     iters = 15 if quick else 40
     rounds = 6 if quick else 12
     out: List[ValidationItem] = []
@@ -86,6 +86,8 @@ def validate_micro(quick: bool = True) -> List[ValidationItem]:
 def validate_table2(quick: bool = True,
                     apps: Optional[List[str]] = None) -> List[ValidationItem]:
     """Measure Table 2's execution times and pair with the paper's."""
+    from repro.apps import run_app
+
     out: List[ValidationItem] = []
     for key, per_net in TABLE2.items():
         if apps is not None and key not in apps:

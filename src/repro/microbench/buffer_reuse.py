@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.microbench.common import Series, bandwidth_mbps, run_pair
+from repro.series import REUSE_PERCENTS
 
 __all__ = ["measure_reuse_latency", "measure_reuse_bandwidth",
            "REUSE_LAT_SIZES", "REUSE_BW_SIZES", "REUSE_PERCENTS"]
@@ -20,8 +21,6 @@ __all__ = ["measure_reuse_latency", "measure_reuse_bandwidth",
 REUSE_LAT_SIZES: Sequence[int] = tuple(4 ** k for k in range(3, 8))
 #: Fig. 8 x-axis: 4 B .. 64 KB
 REUSE_BW_SIZES: Sequence[int] = tuple(4 ** k for k in range(1, 9))
-#: the paper's three reuse levels
-REUSE_PERCENTS: Sequence[int] = (0, 50, 100)
 
 
 def _buffers_for(comm, nbytes: int, iters: int, reuse_pct: int):

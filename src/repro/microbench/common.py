@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.metrics import MetricsRegistry
-from repro.core.units import bytes_per_us_to_mbps, fmt_size
+from repro.core.units import bytes_per_us_to_mbps
 from repro.mpi.world import MPIWorld
+from repro.series import Series, series_from_payload
 
 __all__ = [
     "PAPER_LAT_SIZES", "PAPER_BW_SIZES", "PAPER_SMALL_SIZES",
@@ -63,41 +63,6 @@ def summarize_samples(samples: Sequence[float]) -> dict:
             "std": std, "ci95": 1.96 * std / n ** 0.5}
 
 
-@dataclass
-class Series:
-    """One plotted series: label + (x, y) points.
-
-    ``stats`` (optional, produced by benches run with ``stats=True``)
-    maps each x to the per-repetition summary of
-    :func:`summarize_samples`.
-    """
-
-    label: str
-    points: List[Tuple[float, float]] = field(default_factory=list)
-    stats: Optional[Dict[float, dict]] = None
-
-    def add(self, x: float, y: float) -> None:
-        self.points.append((x, y))
-
-    @property
-    def xs(self) -> List[float]:
-        return [p[0] for p in self.points]
-
-    @property
-    def ys(self) -> List[float]:
-        return [p[1] for p in self.points]
-
-    def at(self, x: float) -> float:
-        for px, py in self.points:
-            if px == x:
-                return py
-        raise KeyError(f"no point at x={x} in series {self.label}")
-
-    def fmt(self, xfmt: Callable = fmt_size, yunit: str = "") -> str:
-        rows = [f"  {xfmt(int(x)):>6}  {y:10.2f} {yunit}" for x, y in self.points]
-        return f"{self.label}:\n" + "\n".join(rows)
-
-
 def run_pair(rank_fn, network: str, nprocs: int = 2, ppn: int = 1,
              args: Sequence = (), net_overrides: Optional[dict] = None,
              record: bool = False, **world_kw):
@@ -147,15 +112,6 @@ def bench_registry() -> Dict[str, Callable[..., Series]]:
         "allreduce": coll.measure_allreduce,
         "memory_usage": memusage.measure_memory_usage,
     }
-
-
-def series_from_payload(payload: dict) -> Series:
-    """Rebuild a :class:`Series` from an executed microbench payload."""
-    stats = payload.get("stats")
-    return Series(payload["label"],
-                  [(x, y) for x, y in payload["points"]],
-                  stats={float(x): dict(s) for x, s in stats.items()}
-                  if stats else None)
 
 
 def measure(bench: str, network: str, **kwargs) -> Series:

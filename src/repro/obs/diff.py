@@ -203,7 +203,7 @@ def _pick_channels(tl_a: dict, tl_b: dict,
 def _overlay(name: str, label_a: str, tl_a: dict, label_b: str, tl_b: dict
              ) -> str:
     from repro.experiments.ascii_plot import line_chart
-    from repro.microbench.common import Series
+    from repro.series import Series
 
     def as_series(label: str, tl: dict) -> Series:
         values = tl.get("channels", {}).get(name)

@@ -14,9 +14,14 @@ Recording can be scaled: application benchmarks that simulate a sample
 of iterations and extrapolate set ``scale`` so the derived statistics
 reflect the full run.
 
-Both record types are ``NamedTuple``s whose field order *is* the row
-format of the cached payload, so :meth:`Recorder.to_dict` and
-:meth:`Recorder.from_dict` convert whole streams in bulk.
+A Recorder keeps each stream once, as the payload's rows: plain lists
+(``call_rows`` / ``transfer_rows``) in the field order of the two
+``NamedTuple`` record types.  Recording appends a row, and
+:meth:`Recorder.to_dict` hands out shallow copies of the row lists, so
+encoding a run copies no row.  The ``calls`` / ``transfers`` record
+views are built the first time something reads them (and extended as
+rows arrive); :meth:`Recorder.from_dict` keeps the payload's row lists,
+checks their lengths and builds both views at once.
 
 A Recorder rehydrated from a cached payload is **read-only**: the
 profiling tables decode one per run and compute every statistic of the
@@ -27,8 +32,10 @@ world that fills a Recorder may record into it, clear it or set
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Dict, List, NamedTuple, Optional
+
+from repro.core.engine import gc_paused
 
 __all__ = ["CallRecord", "TransferRecord", "Recorder"]
 
@@ -59,17 +66,25 @@ class TransferRecord(NamedTuple):
     time: float
 
 
-def _rows(cls, rows):
-    """``list(map(cls._make, rows))`` without a Python call per row.
-
-    ``tuple.__new__`` builds each record in C, so the row lengths are
-    checked once up front, with ``_make``'s ``TypeError``.
-    """
+def _check_rows(cls, rows: list) -> list:
+    """Raise ``_make``'s ``TypeError`` if any row has the wrong length."""
     n = len(cls._fields)
     bad = set(map(len, rows)) - {n}
     if bad:
         raise TypeError(f"Expected {n} arguments, got {min(bad)}")
-    return list(map(tuple.__new__, repeat(cls), rows))
+    return rows
+
+
+def _extend(view: list, cls, rows: list) -> list:
+    """Append to ``view`` the records of the ``rows`` it lacks.
+
+    ``tuple.__new__`` builds each record in C, so no Python-level call
+    runs per row (the rows' lengths are checked where they come from).
+    """
+    if len(view) < len(rows):
+        view.extend(map(tuple.__new__, repeat(cls),
+                        islice(rows, len(view), None)))
+    return view
 
 
 class Recorder:
@@ -80,8 +95,11 @@ class Recorder:
     """
 
     def __init__(self) -> None:
-        self.calls: List[CallRecord] = []
-        self.transfers: List[TransferRecord] = []
+        #: the payload rows, one list per record in the record's field order
+        self.call_rows: List[list] = []
+        self.transfer_rows: List[list] = []
+        self._calls: List[CallRecord] = []
+        self._transfers: List[TransferRecord] = []
         self._collective_depth: Dict[int, int] = {}
         #: multiply counts by this when extrapolating sampled runs
         self.scale: float = 1.0
@@ -89,6 +107,16 @@ class Recorder:
         #: statistics isolate the steady-state last iteration)
         self.sample_iters: int = 1
         self.enabled = True
+
+    @property
+    def calls(self) -> List[CallRecord]:
+        """One :class:`CallRecord` per row of ``call_rows``."""
+        return _extend(self._calls, CallRecord, self.call_rows)
+
+    @property
+    def transfers(self) -> List[TransferRecord]:
+        """One :class:`TransferRecord` per row of ``transfer_rows``."""
+        return _extend(self._transfers, TransferRecord, self.transfer_rows)
 
     # -- collective attribution -------------------------------------------
     def enter_collective(self, rank: int) -> None:
@@ -106,49 +134,63 @@ class Recorder:
                     blocking: bool, collective: bool, intra: Optional[bool]) -> None:
         if not self.enabled:
             return
-        self.calls.append(CallRecord(rank, func, peer, nbytes, buf_addr,
-                                     t_start, t_end, blocking, collective, intra))
+        self.call_rows.append([rank, func, peer, nbytes, buf_addr,
+                               t_start, t_end, blocking, collective, intra])
 
     def record_transfer(self, rank: int, peer: int, nbytes: int, intra: bool,
                         time: float = 0.0) -> None:
         if not self.enabled:
             return
-        self.transfers.append(TransferRecord(
-            rank, peer, nbytes, intra, self.in_collective(rank), time
-        ))
+        self.transfer_rows.append(
+            [rank, peer, nbytes, intra, self.in_collective(rank), time])
 
     # -- serialization ---------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-data form (for the run-plan cache); inverse of :meth:`from_dict`."""
+        """Plain-data form (for the run-plan cache); inverse of :meth:`from_dict`.
+
+        The row lists are shallow copies: the rows themselves are shared
+        with this Recorder.
+        """
         return {
             "scale": self.scale,
             "sample_iters": self.sample_iters,
-            "calls": list(map(list, self.calls)),
-            "transfers": list(map(list, self.transfers)),
+            "calls": self.call_rows.copy(),
+            "transfers": self.transfer_rows.copy(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Recorder":
+        """Rebuild a (read-only) Recorder from :meth:`to_dict`'s form.
+
+        Runs with the cyclic collector paused: a large profile is a few
+        hundred thousand fresh tuples and no cycles.
+        """
         rec = cls()
         rec.scale = data["scale"]
         rec.sample_iters = data["sample_iters"]
-        rec.calls = _rows(CallRecord, data["calls"])
-        rec.transfers = _rows(TransferRecord, data["transfers"])
+        rec.call_rows = _check_rows(CallRecord, data["calls"])
+        rec.transfer_rows = _check_rows(TransferRecord, data["transfers"])
+        with gc_paused():
+            _extend(rec._calls, CallRecord, rec.call_rows)
+            _extend(rec._transfers, TransferRecord, rec.transfer_rows)
         return rec
 
     # -- convenience -----------------------------------------------------------
     def clear(self) -> None:
-        self.calls.clear()
-        self.transfers.clear()
+        self.call_rows.clear()
+        self.transfer_rows.clear()
+        self._calls.clear()
+        self._transfers.clear()
         self._collective_depth.clear()
 
     @property
     def ncalls(self) -> int:
-        return len(self.calls)
+        return len(self.call_rows)
 
     @property
     def total_volume(self) -> int:
         return sum(t.nbytes for t in self.transfers)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Recorder calls={len(self.calls)} transfers={len(self.transfers)}>"
+        return (f"<Recorder calls={len(self.call_rows)} "
+                f"transfers={len(self.transfer_rows)}>")

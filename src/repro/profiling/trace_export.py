@@ -19,7 +19,6 @@ fully-traced worlds for the ``repro trace`` CLI subcommand.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -98,10 +97,13 @@ def chrome_trace(tracers: Union[Tracer, Dict[str, Tracer]],
 
 def write_chrome_trace(path: str, tracers: Union[Tracer, Dict[str, Tracer]],
                        recorder=None) -> int:
-    """Write :func:`chrome_trace` output to ``path``; returns #events."""
+    """Write :func:`chrome_trace` output to ``path`` (compact JSON, as
+    the disk cache writes its payloads); returns #events."""
+    from repro.runtime.cache import dump_json
+
     doc = chrome_trace(tracers, recorder=recorder)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")))
+        dump_json(doc, fh)
     return len(doc["traceEvents"])
 
 

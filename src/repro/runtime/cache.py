@@ -27,16 +27,58 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Union
+from typing import (IO, Any, Callable, Iterator, List, NamedTuple, Optional,
+                    Union)
 
 from repro.core.engine import gc_paused
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
 __all__ = ["CacheStats", "ResultCache", "DirBackend", "DEFAULT_CACHE_DIR",
-           "code_salt", "DerivedKey", "derived_key", "source_fingerprint"]
+           "code_salt", "DerivedKey", "derived_key", "source_fingerprint",
+           "dump_json"]
 
 #: conventional on-disk location (relative to the working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: list items per ``json.dumps`` call in :func:`dump_json`: about 80 KB
+#: of recorder rows, under glibc's default 128 KiB mmap threshold
+JSON_SLICE = 1000
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def dump_json(obj: Any, fh: IO[str]) -> None:
+    """Write ``obj`` to ``fh`` byte for byte as ``json.dump(obj, fh,
+    separators=(",", ":"))`` does, but through the C encoder.
+
+    ``json.dump`` always runs CPython's pure-Python encoder (only the
+    one-shot ``json.dumps`` takes the C path), while one ``json.dumps``
+    of a whole payload builds a multi-MB string, and freeing that raises
+    glibc's mmap threshold and with it peak RSS.  So this walks dicts,
+    writes a list longer than :data:`JSON_SLICE` as ``json.dumps`` of
+    ``JSON_SLICE``-item slices with their brackets stripped, and encodes
+    anything else in one call.
+    """
+    fh.writelines(_json_pieces(obj))
+
+
+def _json_pieces(obj: Any) -> Iterator[str]:
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in obj.items():
+            # '{"key":null}' -> '"key":', keys coerced as json coerces them
+            yield sep + _encode({key: None})[1:-5]
+            yield from _json_pieces(value)
+            sep = ","
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and len(obj) > JSON_SLICE:
+        sep = "["
+        for i in range(0, len(obj), JSON_SLICE):
+            yield sep + _encode(obj[i:i + JSON_SLICE])[1:-1]
+            sep = ","
+        yield "]"
+    else:
+        yield _encode(obj)
 
 
 def code_salt() -> str:
@@ -209,9 +251,10 @@ class DirBackend:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                # streamed, not json.dumps: freeing one multi-MB string
-                # raises glibc's mmap threshold, and with it peak RSS
-                json.dump(payload, fh, separators=(",", ":"))
+                # the C encoder in bounded pieces: json.dump would run the
+                # pure-Python encoder, and one json.dumps would build a
+                # multi-MB string whose release raises peak RSS
+                dump_json(payload, fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -23,8 +23,9 @@ import pytest
 from repro.core.metrics import MetricsRegistry
 from repro.core.tracing import TRACE_CATEGORIES, Tracer
 from repro.profiling.trace_export import (category_summary, chrome_trace,
-                                          critical_path, traced_pingpong,
-                                          write_chrome_trace)
+                                          critical_path, traced_app,
+                                          traced_pingpong, write_chrome_trace)
+from repro.runtime.cache import JSON_SLICE
 from repro.runtime.spec import RunSpec
 
 
@@ -155,6 +156,18 @@ def test_chrome_trace_structure(tmp_path):
     n = write_chrome_trace(str(out), tr)
     assert n == len(chrome_trace(tr)["traceEvents"])
     json.loads(out.read_text())
+
+
+def test_trace_file_is_the_compact_json_of_the_document(tmp_path):
+    """A traced IS.S run (with its transfer track) long enough that the
+    event list is written in several slices."""
+    res, tr = traced_app("is", "S", "infiniband", nprocs=4)
+    doc = chrome_trace({"is.S:infiniband": tr}, recorder=res.recorder)
+    assert len(doc["traceEvents"]) > 2 * JSON_SLICE
+    out = tmp_path / "trace.json"
+    write_chrome_trace(str(out), {"is.S:infiniband": tr},
+                       recorder=res.recorder)
+    assert out.read_bytes() == json.dumps(doc, separators=(",", ":")).encode()
 
 
 def test_category_summary_lists_layers():

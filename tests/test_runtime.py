@@ -17,9 +17,11 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from repro.core.metrics import MetricsRegistry
 from repro.runtime import (ResultCache, RunSpec, SweepError, SweepExecutor,
                            code_salt, execute_spec, freeze_mapping,
                            is_error_payload, thaw_mapping)
-from repro.runtime.cache import DirBackend, derived_key
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import JSON_SLICE, DirBackend, derived_key, dump_json
 
 
 @pytest.fixture(autouse=True)
@@ -198,6 +201,65 @@ class TestResultCache:
         assert cache.stats.hits == 0
         assert cache.lookup(spec) == {"v": 1}  # re-read from disk
         assert cache.stats.disk_hits == 1
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_JSON_KEYS = (st.text() | st.integers() | st.floats() | st.booleans()
+              | st.none())
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=9)
+                  | st.lists(kids, max_size=9).map(tuple)
+                  | st.dictionaries(_JSON_KEYS, kids, max_size=5)),
+    max_leaves=40)
+
+
+def _dumped(obj, slice_len=JSON_SLICE):
+    buf = io.StringIO()
+    with mock.patch.object(cache_module, "JSON_SLICE", slice_len):
+        dump_json(obj, buf)
+    return buf.getvalue()
+
+
+class TestDumpJson:
+    """The disk tier's writer puts out exactly the bytes of a compact
+    ``json.dumps``, however its lists are cut into slices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_TREES, slice_len=st.integers(1, 4))
+    def test_equals_json_dumps(self, obj, slice_len):
+        want = json.dumps(obj, separators=(",", ":"))
+        assert _dumped(obj, slice_len) == want
+        streamed = io.StringIO()
+        json.dump(obj, streamed, separators=(",", ":"))
+        assert streamed.getvalue() == want
+
+    @pytest.mark.parametrize("n", [0, JSON_SLICE - 1, JSON_SLICE,
+                                   JSON_SLICE + 1, 2 * JSON_SLICE + 1])
+    def test_list_lengths_around_the_slice(self, n):
+        rows = [[i, "send", -i, i * 0.5, i % 2 == 0, None, "\u00e9"]
+                for i in range(n)]
+        obj = {"calls": rows, "rows": tuple(rows), "n": n,
+               "nested": {"inner": rows, 1.5: float("nan"), None: [],
+                          True: float("-inf"), 7: float("inf")}}
+        assert _dumped(obj) == json.dumps(obj, separators=(",", ":"))
+
+    def test_unencodable_key_raises_like_json(self):
+        with pytest.raises(TypeError):
+            json.dumps({(1, 2): 0})
+        with pytest.raises(TypeError):
+            _dumped({"ok": {(1, 2): 0}})
+
+    def test_is_s_payload_file_pinned(self, tmp_path):
+        """A cold disk tier writes the recorded IS.S payload (4 ranks,
+        InfiniBand) to the byte as the streamed ``json.dump`` did."""
+        runtime.reset(disk_dir=tmp_path)
+        spec = RunSpec.app("is", "S", "infiniband", 4, record=True)
+        runtime.run_spec(spec)
+        blob = DirBackend(tmp_path, code_salt()).path(spec.digest).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6337249df2d0d691b3daedb6dde6fddaec59694c934021f45d1e0216fd49d1c9")
 
 
 class TestDecodePausesCollector:

@@ -3,8 +3,10 @@
 Paper-mode runs use placeholder buffers, so importing the runtime and
 the experiment drivers and running them must not import numpy (about
 150 ms of a fresh interpreter's start-up).  Verify-mode numerics and
-array-backed buffers must still load it.  Each check runs in a fresh
-interpreter, because this test process has numpy loaded already.
+array-backed buffers must still load it.  A render from a warm cache
+simulates nothing, so it must not import the MPI stack either.  Each
+check runs in a fresh interpreter, because this test process has numpy
+(and the MPI stack) loaded already.
 """
 
 import os
@@ -73,3 +75,26 @@ def test_array_backed_allreduce_loads_numpy():
         print(res.returns[0])
     """)
     assert out.strip() == "[10, 10, 10, 10]"
+
+
+def test_warm_renders_never_import_the_mpi_stack(tmp_path):
+    """Re-rendering from a warm disk cache reads payloads and decodes
+    Recorders only, so the MPI and device stack stays unimported."""
+    warm = f"""
+        import sys
+        from repro import runtime
+        from repro.experiments import run_figure
+        from repro.experiments.tables import _profile_summaries, _profile_summary
+        from repro.runtime import RunSpec
+
+        runtime.reset(jobs=1, disk_dir={str(tmp_path)!r})
+        run_figure("fig13", quick=True).render()
+        _profile_summaries(True, specs=[("is", "S", 4)])
+        spec = RunSpec.app("is", "S", "infiniband", 4, record=True)
+        _profile_summary(runtime.run_spec(spec))
+        print(runtime.cache_stats().misses,
+              "repro.mpi.world" in sys.modules)
+    """
+    cold = _fresh(warm).split()
+    assert cold[1] == "True"  # the cold pass simulated, so it loaded MPI
+    assert _fresh(warm).split() == ["0", "False"]
