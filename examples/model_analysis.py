@@ -29,9 +29,6 @@ def _lat(net, nbytes, opts=None, ppn=1):
 def main():
     print(loggp_report())
     print()
-    from repro.analysis import sensitivity_report
-    print(sensitivity_report(nprocs=8, sample_iters=2))
-    print()
 
     rows = [
         ["pin-down cache off (64K lat)", _lat("infiniband", 65536),

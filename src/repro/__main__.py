@@ -27,9 +27,7 @@ Usage::
     python -m repro diff latency@myrinet latency@quadrics       # A/B observatory
     python -m repro diff bandwidth@infiniband \
         bandwidth@infiniband:rendezvous=send_recv --size 65536
-    python -m repro scale                # 16 -> 4096-rank projections, all fabrics
-    python -m repro scale --network mvapich --ranks 16,64,256,1024,4096
-    python -m repro scale --topology fat_tree --quick   # CI smoke variant
+    python -m repro bench latency --topology fat_tree   # routed switch fabric
     python -m repro validate             # simulated vs. paper, per item
 
 Installed as the ``repro`` console script as well.  The simulator's own
@@ -43,6 +41,7 @@ import argparse
 import sys
 
 from repro import runtime
+from repro.core.netnames import NETWORKS
 from repro.experiments import FIGURES, TABLES, run_figure, run_table
 
 
@@ -212,26 +211,6 @@ def _cmd_bench(ns) -> int:
     return 0
 
 
-def _cmd_scale(ns) -> int:
-    """``repro scale``: 16 -> 4096-rank projections per fabric."""
-    from repro.experiments.scale import scale_report
-
-    ranks = None
-    if ns.ranks:
-        try:
-            ranks = tuple(int(r) for r in ns.ranks.split(",") if r)
-        except ValueError:
-            raise SystemExit(f"--ranks needs comma-separated integers, "
-                             f"got {ns.ranks!r}") from None
-    networks = [ns.network] if ns.network else None
-    try:
-        print(scale_report(networks=networks, ranks=ranks,
-                           topology=ns.topology, quick=ns.quick))
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    return 0
-
-
 def _cmd_diff(ns) -> int:
     """``repro diff <refA> <refB>``: run (or cache-serve) both and compare."""
     from repro.obs.diff import diff_report, parse_run_ref
@@ -282,12 +261,12 @@ def _cmd_trace(ns) -> int:
         runtime.metrics().merge(res.metrics)
         cp_networks = [network]
     else:  # figN / tableN / latency: traced pingpong on all three fabrics
-        for net in ("infiniband", "myrinet", "quadrics"):
+        for net in NETWORKS:
             res, tracer = traced_pingpong(net, nbytes=size,
                                           categories=cats, mpi_options=options)
             tracers[net] = tracer
             runtime.metrics().merge(res.metrics)
-        cp_networks = ["infiniband", "myrinet", "quadrics"]
+        cp_networks = list(NETWORKS)
     nev = write_chrome_trace(ns.out, tracers)
     print(f"wrote {nev} trace events to {ns.out} "
           "(load in https://ui.perfetto.dev)")
@@ -316,12 +295,6 @@ def _cmd_loggp(ns) -> int:
     from repro.analysis import loggp_report
 
     return _show(loggp_report())
-
-
-def _cmd_sensitivity(ns) -> int:
-    from repro.analysis import sensitivity_report
-
-    return _show(sensitivity_report())
 
 
 def _cmd_validate(ns) -> int:
@@ -366,12 +339,10 @@ def _cmd_list(ns) -> int:
 COMMANDS = (
     ("calibration", "calibration", _cmd_calibration),
     ("loggp", "loggp", _cmd_loggp),
-    ("sensitivity", "sensitivity", _cmd_sensitivity),
     ("validate", "validate", _cmd_validate),
     ("report", "report", _cmd_report),
     ("matrix", "matrix", _cmd_matrix),
     ("faults", "faults", _cmd_faults),
-    ("scale", "scale", _cmd_scale),
     ("trace", "trace [pingpong|figN|app.class]", _cmd_trace),
     ("bench", "bench <name>", _cmd_bench),
     ("profile", "profile <app.class> <nprocs>", _cmd_profile),
@@ -394,9 +365,8 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="full sweeps instead of the quick defaults")
     parser.add_argument("--network", default=None,
-                        help="network for 'profile'/'trace'/'bench'/'scale' "
-                             "(default: infiniband; 'scale' sweeps all "
-                             "three fabrics when unset)")
+                        help="network for 'profile'/'trace'/'bench' "
+                             "(default: infiniband)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run independent simulations on N worker "
                              "processes (default: 1 = serial)")
@@ -436,9 +406,6 @@ def main(argv=None) -> int:
                         metavar="N", dest="fault_seed",
                         help="seed for the deterministic fault roll stream "
                              "(shorthand for --fault seed=N)")
-    parser.add_argument("--quick", action="store_true",
-                        help="scale: trimmed rank list, no all-to-all "
-                             "simulation anchors")
     parser.add_argument("--run-timeout", type=float, default=None,
                         metavar="SECONDS", dest="run_timeout",
                         help="per-spec wall-clock budget; a run exceeding it "
@@ -466,14 +433,11 @@ def main(argv=None) -> int:
                         metavar="NAME",
                         help="timeline channel(s) to chart (repeatable; "
                              "default: auto-pick channels that moved)")
-    parser.add_argument("--ranks", default=None, metavar="N1,N2,...",
-                        help="scale: comma-separated power-of-two rank "
-                             "counts (default: 16,64,256,1024,4096)")
     parser.add_argument("--topology", default=None, metavar="KIND",
-                        help="scale/bench: switch topology "
+                        help="bench: switch topology "
                              "(single | fat_tree | clos | federated_elite; "
-                             "default: scale uses each fabric's native "
-                             "multi-stage topology)")
+                             "default: single, the testbed crossbar); diff "
+                             "takes it per side as ':topology=KIND'")
     # intermixed parsing so flags may precede trailing run refs
     # (`repro diff --size N latency@myrinet latency@quadrics`)
     ns = parser.parse_intermixed_args(argv)

@@ -21,14 +21,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import runtime
+from repro.core.netnames import NETWORKS
 from repro.experiments.ascii_plot import line_chart, table
 from repro.series import Series, series_from_payload
 from repro.runtime.executor import is_error_payload
 from repro.runtime.spec import RunSpec
 
 __all__ = ["degradation_report", "QUICK_DROP_RATES", "FULL_DROP_RATES"]
-
-NETWORKS = ("infiniband", "myrinet", "quadrics")
 
 QUICK_DROP_RATES: Sequence[float] = (0.0, 0.01, 0.02, 0.05)
 FULL_DROP_RATES: Sequence[float] = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1)

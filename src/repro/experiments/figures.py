@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.netnames import NETWORKS
 from repro.experiments.ascii_plot import bar_chart, line_chart
-from repro.networks import NETWORKS
 from repro.runtime import RunSpec, run_specs
 from repro.series import REUSE_PERCENTS, Series, series_from_payload
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.core.netnames import NETWORKS
+
 __all__ = [
     "MICRO", "TABLE2", "TABLE1", "TABLE3", "TABLE4", "TABLE5", "TABLE6",
     "NETWORK_ORDER",
 ]
 
-NETWORK_ORDER = ("infiniband", "myrinet", "quadrics")  # IBA, Myri, QSN
+NETWORK_ORDER = tuple(NETWORKS)  # IBA, Myri, QSN
 
 #: §3 micro-benchmark headline values per network (IBA, Myri, QSN)
 MICRO: Dict[str, Tuple[float, float, float]] = {

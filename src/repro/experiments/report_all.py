@@ -17,6 +17,7 @@ import time
 from typing import Iterable, Optional, TextIO
 
 from repro import runtime
+from repro.core.netnames import NETWORKS
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.tables import TABLES, run_table
 
@@ -85,7 +86,7 @@ def _variance_appendix() -> str:
     from repro.series import series_from_payload
 
     specs = [RunSpec.microbench("latency", net, sizes=(4, 16384), stats=True)
-             for net in ("infiniband", "myrinet", "quadrics")]
+             for net in NETWORKS]
     rows = []
     for spec, payload in zip(specs, runtime.run_specs(specs)):
         if runtime.is_error_payload(payload):

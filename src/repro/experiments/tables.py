@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from repro.core.netnames import NETWORKS
 from repro.experiments.ascii_plot import table as render_table
-from repro.networks import NETWORKS
 from repro.profiling import (
     Recorder,
     buffer_reuse_rate,

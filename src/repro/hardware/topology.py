@@ -27,17 +27,11 @@ A topology answers two questions:
    and wraps them in pipeline :class:`~repro.hardware.path.Stage`\\ s.
    Two flows whose routes share an up-link serialize at link rate —
    which is exactly the bisection behaviour a flat crossbar cannot show.
-
-Route/contention analytics (:meth:`link_loads`, :meth:`bisection_links`,
-:meth:`pattern_contention`) are pure integer arithmetic over the same
-route enumeration — they never build servers, so ``repro scale`` can
-sweep 4096-rank patterns in milliseconds.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.resources import FifoServer
@@ -80,8 +74,8 @@ class Topology:
     def route(self, src_node: int, dst_node: int) -> Route:
         """Ordered link keys traversed from ``src_node`` to ``dst_node``.
 
-        Pure: never creates servers, so analytics over thousands of
-        nodes stay cheap.  Deterministic: same pair, same route.
+        Pure: never creates servers.  Deterministic: same pair, same
+        route.
         """
         raise NotImplementedError
 
@@ -121,62 +115,6 @@ class Topology:
             raise ValueError(f"node {node} out of range for "
                              f"{self.nnodes}-node topology")
 
-    # -- analytics ------------------------------------------------------
-    def link_loads(self, pairs: Sequence[Tuple[int, int]]) -> Dict[LinkKey, int]:
-        """Flows per link for a traffic pattern (route enumeration only)."""
-        loads: Dict[LinkKey, int] = {}
-        for src, dst in pairs:
-            if src == dst:
-                continue
-            for key in self.route(src, dst):
-                loads[key] = loads.get(key, 0) + 1
-        return loads
-
-    def max_link_load(self, pairs: Sequence[Tuple[int, int]]) -> int:
-        """Worst per-link flow count — 1 means conflict-free routing."""
-        loads = self.link_loads(pairs)
-        return max(loads.values()) if loads else 0
-
-    def pattern_contention(self, pattern: str) -> int:
-        """Max link load for a named permutation over all nodes.
-
-        - ``neighbor``  — dst = src+1 mod N (ring shift);
-        - ``shift``     — dst = src+N/2 mod N (every flow crosses the
-          bisection: the adversarial pattern for under-provisioned cuts);
-        - ``transpose`` — digit-reversal pairing (matrix transpose).
-        """
-        n = self.nnodes
-        if pattern == "neighbor":
-            pairs = [(s, (s + 1) % n) for s in range(n)]
-        elif pattern == "shift":
-            pairs = [(s, (s + n // 2) % n) for s in range(n)]
-        elif pattern == "transpose":
-            pairs = [(s, self._digit_reverse(s)) for s in range(n)]
-        else:
-            raise ValueError(f"unknown pattern {pattern!r} "
-                             "(neighbor|shift|transpose)")
-        return self.max_link_load(pairs)
-
-    def _digit_reverse(self, node: int) -> int:
-        return self.nnodes - 1 - node
-
-    def bisection_links(self) -> int:
-        """Links crossing a worst-case half/half cut of the nodes."""
-        raise NotImplementedError
-
-    def alltoall_link_share(self) -> float:
-        """Node flows sharing one bisection link under uniform all-to-all.
-
-        ``N/2`` per-direction node streams cross the bisection; dividing
-        by the cut width gives the serialization factor (1.0 = full
-        bisection bandwidth, the flat-crossbar ideal).
-        """
-        cut = self.bisection_links()
-        return (self.nnodes / 2.0) / cut if cut else float("inf")
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class SingleCrossbar(Topology):
     """The paper's testbed: every node on one non-blocking crossbar.
@@ -213,14 +151,6 @@ class SingleCrossbar(Topology):
 
     def iter_links(self) -> Iterable[FifoServer]:
         return self.switch._out_ports.values()
-
-    def bisection_links(self) -> int:
-        # non-blocking backplane: the cut is as wide as the half itself
-        return max(self.nnodes // 2, 1)
-
-    def describe(self) -> str:
-        return (f"single {self.switch.nports}-port crossbar "
-                f"({self.port_bw:.0f} B/us per port)")
 
 
 class MultiStageTopology(Topology):
@@ -305,46 +235,6 @@ class MultiStageTopology(Topology):
     def _hop_name(key: LinkKey) -> str:
         side, lvl = key[0], key[1]
         return ("uplink" if side == "u" else "downhop") + str(lvl)
-
-    def _digit_reverse(self, node: int) -> int:
-        d, rev, x = self.down, 0, node
-        for _ in range(self.levels):
-            rev = rev * d + x % d
-            x //= d
-        return rev % self.nnodes
-
-    # -- inventory ------------------------------------------------------
-    def switch_groups(self) -> List[int]:
-        """Crossbar groups per level, leaf level first."""
-        return [math.ceil(self.nnodes / self.down ** (lvl + 1))
-                for lvl in range(self.levels)]
-
-    def nswitches(self) -> int:
-        return sum(self.switch_groups())
-
-    def total_links(self) -> int:
-        """Node-facing plus inter-level up-links (folded pairs)."""
-        n, d, up = self.nnodes, self.down, self.up
-        links = n
-        for lvl in range(self.levels - 1):
-            links += math.ceil(n / d ** (lvl + 1)) * up ** (lvl + 1)
-        return links
-
-    def bisection_links(self) -> int:
-        if self.levels == 1:
-            return max(self.nnodes // 2, 1)
-        # up-links feeding the top level (each group runs up**(L-1)
-        # parallel switch planes), halved for the worst-case cut
-        top = self.levels - 1
-        below_top = math.ceil(self.nnodes / self.down ** top)
-        return max(below_top * self.up ** top // 2, 1)
-
-    def describe(self) -> str:
-        groups = "+".join(str(g) for g in self.switch_groups())
-        return (f"{self.kind}: {self.levels}-level folded Clos of "
-                f"{self.radix}-port crossbars ({self.down} down/{self.up} up), "
-                f"{groups} switch groups, bisection {self.bisection_links()} "
-                f"links")
 
 
 class FatTree(MultiStageTopology):

@@ -1,4 +1,4 @@
-"""MPI memory usage micro-benchmark (Fig. 13) and its analytic curve.
+"""MPI memory usage micro-benchmark (Fig. 13) and its closed form.
 
 The paper runs a trivial barrier program on 2..8 nodes and reads each
 process's resident memory from /proc.  Our MPI devices account their
@@ -7,16 +7,14 @@ pools for GM and Tports), so the measurement is a direct readout after
 running the same barrier program.
 
 ``node_counts`` is a parameter (spec-addressable via ``RunSpec.params``)
-so Fig. 13 and the ``repro scale`` 16→4096-rank sweeps share this one
-code path.  For rank counts where building a world is wasteful the
-``analytic=True`` mode evaluates the same device memory model in closed
-form — identical to the simulated readout for statically connected
-devices, since both are ``MEM_BASE_MB + MEM_PER_CONN_MB * npeers``.
+so a sweep can read the footprint at any rank count.
+:func:`analytic_memory_mb` states the same device memory model in
+closed form, ``MEM_BASE_MB + MEM_PER_CONN_MB * npeers``, which the
+simulated readout of a statically connected device must equal.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from repro.microbench.common import Series
@@ -31,39 +29,22 @@ def _barrier_program(comm):
     yield from comm.barrier()
 
 
-def analytic_memory_mb(device_cls, nprocs: int, on_demand: bool = False) -> float:
+def analytic_memory_mb(device_cls, nprocs: int) -> float:
     """Closed-form per-process MPI memory (MB) for ``nprocs`` ranks.
 
     Statically connected devices hold one connection per peer — exactly
-    what the simulated barrier readout reports.  With on-demand
-    connection management (the MVAPICH option Fig. 13 motivates) a
-    tree-collective working set touches O(log N) peers, so the curve is
-    bounded by ``2 * ceil(log2 N)`` connections instead of ``N - 1``.
+    what the simulated barrier readout reports.
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    peers = nprocs - 1
-    if on_demand:
-        peers = min(peers, 2 * math.ceil(math.log2(max(nprocs, 2))))
-    return device_cls.MEM_BASE_MB + device_cls.MEM_PER_CONN_MB * peers
+    return device_cls.MEM_BASE_MB + device_cls.MEM_PER_CONN_MB * (nprocs - 1)
 
 
 def measure_memory_usage(network: str, node_counts: Sequence[int] = MEM_NODE_COUNTS,
                          net_overrides: Optional[dict] = None,
-                         mpi_options: Optional[dict] = None,
-                         analytic: bool = False) -> Series:
+                         mpi_options: Optional[dict] = None) -> Series:
     """Per-process MPI memory (MB) vs. number of nodes."""
     series = Series(network)
-    if analytic:
-        from repro.mpi.devices import device_class_for
-        from repro.networks import canonical_network
-
-        device_cls = device_class_for(canonical_network(network))
-        on_demand = bool((mpi_options or {}).get("on_demand_connections"))
-        for n in node_counts:
-            series.add(int(n), analytic_memory_mb(device_cls, int(n),
-                                                  on_demand=on_demand))
-        return series
     for n in node_counts:
         world = MPIWorld(n, network=network, record=False,
                          net_overrides=net_overrides, mpi_options=mpi_options)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.netnames import NETWORKS
 from repro.core.units import fmt_size
 from repro.mpi.ch.caps import ChannelCaps
 
@@ -25,7 +26,7 @@ __all__ = [
     "run_matrix", "render_caps_table", "render_matrix", "matrix_report",
 ]
 
-MATRIX_NETWORKS: Tuple[str, ...] = ("infiniband", "myrinet", "quadrics")
+MATRIX_NETWORKS: Tuple[str, ...] = tuple(NETWORKS)
 
 #: rendezvous sizes — above every port's eager limit, so the flavor is
 #: actually exercised (16 KB is eager-inclusive on Myrinet's GM port)

@@ -181,7 +181,7 @@ class MvapichChannel(Channel):
         sreq: Request = meta["sreq"]
         qp = self.vapi.connect(src)
         local = qp.rdma_write(
-            sreq.buf, meta["rreq"].buf, wr_id=id(sreq),
+            sreq.buf, meta["rreq"].buf, wr_id=qp.next_wr_id(),
             payload=payload_of(sreq.buf),
             meta={"rreq": meta["rreq"], "tag": sreq.tag,
                   "ctx": sreq.ctx, "mpi_data": True},
@@ -193,7 +193,7 @@ class MvapichChannel(Channel):
     def rndv_read(self, req: Request, env: Envelope):
         yield self.core.cpu.comm(self._reg_cost(req.buf))
         qp = self.vapi.connect(env.src)
-        done = qp.rdma_read(req.buf, env.meta["sbuf"], wr_id=id(req))
+        done = qp.rdma_read(req.buf, env.meta["sbuf"], wr_id=qp.next_wr_id())
         done.add_callback(
             lambda _e: self.core._post_inbox(("rdfin", req, env)))
 

@@ -21,43 +21,12 @@ layer then instantiates the matching MPICH port on top of it.
 from __future__ import annotations
 
 from repro.core.engine import Simulator
+from repro.core.netnames import NETWORKS, canonical_network
 from repro.hardware.cluster import Cluster
 from repro.networks.base import Fabric, NetPort, Packet
 
-__all__ = ["make_fabric", "Fabric", "NetPort", "Packet", "NETWORKS"]
-
-#: Canonical network names (as used throughout benchmarks and figures)
-#: mapped to the paper's series labels.
-NETWORKS = {
-    "infiniband": "IBA",
-    "myrinet": "Myri",
-    "quadrics": "QSN",
-}
-
-_ALIASES = {
-    "iba": "infiniband",
-    "ib": "infiniband",
-    "infiniband": "infiniband",
-    "myri": "myrinet",
-    "gm": "myrinet",
-    "myrinet": "myrinet",
-    "qsn": "quadrics",
-    "elan": "quadrics",
-    "quadrics": "quadrics",
-    # the paper's MPI implementations double as fabric aliases, so
-    # `repro scale --network mvapich` reads like the paper's tables
-    "mvapich": "infiniband",
-    "mpich-gm": "myrinet",
-    "mpich-quadrics": "quadrics",
-}
-
-
-def canonical_network(name: str) -> str:
-    """Resolve a network alias to its canonical name."""
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown network {name!r}; know {sorted(set(_ALIASES))}") from None
+__all__ = ["make_fabric", "Fabric", "NetPort", "Packet", "NETWORKS",
+           "canonical_network"]
 
 
 def make_fabric(name: str, sim: Simulator, cluster: Cluster, **overrides) -> Fabric:

@@ -112,10 +112,6 @@ class Fabric:
     #: wire header+CRC bytes added to every packet
     header_bytes: int = 40
 
-    #: multi-stage topology this fabric's product line shipped at scale
-    #: (used by ``repro scale`` when no explicit topology is requested)
-    default_multistage: str = "fat_tree"
-
     def __init__(self, sim: Simulator, cluster: Cluster) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -327,13 +323,6 @@ class Fabric:
             "hw.wire.bytes": float(self._wire_bytes),
             "hw.path.backlog_us": backlog,
         }
-
-    # -- introspection ------------------------------------------------------
-    def describe(self) -> str:
-        base = f"{self.label} fabric on {self.cluster.nnodes} nodes"
-        if self.topology is not None:
-            base += f" ({self.topology.describe()})"
-        return base
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Fabric {self.kind} ports={len(self.ports)}>"

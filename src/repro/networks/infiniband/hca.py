@@ -33,8 +33,6 @@ class InfiniBandFabric(Fabric):
     label = "IBA"
     header_bytes = 40  # LRH+BTH+ICRC/VCRC of an IB packet
 
-    default_multistage = "fat_tree"
-
     def __init__(self, sim: Simulator, cluster: Cluster,
                  params: InfiniBandParams | None = None, **overrides) -> None:
         super().__init__(sim, cluster)

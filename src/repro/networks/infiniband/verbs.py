@@ -87,11 +87,17 @@ class QueuePair:
         self.peer_rank = peer_rank
         self.posted_recvs: List[tuple] = []  # (wr_id, Buffer)
         self.sends_posted = 0
+        self._wr_seq = 0
         #: verbs QP state: 'RTS' (ready to send) until transport retry
         #: exhaustion moves it to 'ERR' (see InfiniBandFabric.on_link_failure)
         self.state = "RTS"
 
     # -- verbs ----------------------------------------------------------
+    def next_wr_id(self) -> int:
+        """A fresh work-request id, counted per QP so runs repeat exactly."""
+        self._wr_seq += 1
+        return self._wr_seq
+
     def post_recv(self, buf: Buffer, wr_id: int) -> None:
         self.posted_recvs.append((wr_id, buf))
 

@@ -36,8 +36,6 @@ class MyrinetFabric(Fabric):
     label = "Myri"
     header_bytes = 24  # GM header + Myrinet route/CRC
 
-    default_multistage = "clos"
-
     def __init__(self, sim: Simulator, cluster: Cluster,
                  params: MyrinetParams | None = None, **overrides) -> None:
         super().__init__(sim, cluster)

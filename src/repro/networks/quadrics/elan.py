@@ -37,8 +37,6 @@ class QuadricsFabric(Fabric):
     label = "QSN"
     header_bytes = 16  # Elan route flits + transaction header
 
-    default_multistage = "federated_elite"
-
     def __init__(self, sim: Simulator, cluster: Cluster,
                  params: QuadricsParams | None = None, **overrides) -> None:
         super().__init__(sim, cluster)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.networks import canonical_network
+from repro.core.netnames import canonical_network
 
 __all__ = ["RunSpec", "SPEC_SCHEMA_VERSION", "freeze_mapping", "thaw_mapping"]
 

@@ -64,43 +64,3 @@ class TestReport:
         for label in ("IBA", "Myri", "QSN"):
             assert label in txt
         assert "L=" in txt and "G=" in txt
-
-
-class TestSensitivity:
-    def test_is_bandwidth_sensitive(self):
-        from repro.analysis import sweep_parameter
-
-        s = sweep_parameter("is", "B", 8, "infiniband", "wire_bw_mbps",
-                            (1.0, 0.25), sample_iters=3)
-        assert s.at(1.0) == 1.0
-        assert s.at(0.25) > 1.08   # bandwidth-bound
-
-    def test_lu_bandwidth_insensitive(self):
-        from repro.analysis import sweep_parameter
-
-        s = sweep_parameter("lu", "B", 8, "infiniband", "wire_bw_mbps",
-                            (1.0, 0.25), sample_iters=2)
-        assert s.at(0.25) < 1.05   # latency-bound, tiny messages
-
-    def test_alltoall_packet_cost_sensitive(self):
-        from repro.analysis.sensitivity import _base_value
-        from repro.microbench import measure_alltoall
-
-        base = measure_alltoall("infiniband", nprocs=8, sizes=(8,), iters=6).at(8)
-        slow = measure_alltoall(
-            "infiniband", nprocs=8, sizes=(8,), iters=6,
-            net_overrides={"tx_proc_us": _base_value("infiniband", "tx_proc_us") * 4}
-        ).at(8)
-        assert slow > 1.5 * base
-
-    def test_unknown_parameter_rejected(self):
-        from repro.analysis import sweep_parameter
-
-        with pytest.raises(ValueError, match="no parameter"):
-            sweep_parameter("is", "B", 4, "infiniband", "warp_factor", (1.0,))
-
-    def test_report_renders(self):
-        from repro.analysis import sensitivity_report
-
-        txt = sensitivity_report(nprocs=4, sample_iters=2)
-        assert "IS.B" in txt and "Alltoall" in txt

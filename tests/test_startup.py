@@ -2,8 +2,9 @@
 
 Paper-mode runs use placeholder buffers, so importing the runtime and
 the experiment drivers and running them must not import numpy (about
-150 ms of a fresh interpreter's start-up).  Verify-mode numerics and
-array-backed buffers must still load it.  A render from a warm cache
+150 ms of a fresh interpreter's start-up), and importing the runtime
+must not load the hardware or fabric models either.  Verify-mode
+numerics and array-backed buffers must still load numpy.  A render from a warm cache
 simulates nothing, so it must not import the MPI stack either.  Each
 check runs in a fresh interpreter, because this test process has numpy
 (and the MPI stack) loaded already.
@@ -32,6 +33,10 @@ def test_paper_mode_never_imports_numpy():
         import sys
         from repro import runtime
         from repro.runtime import RunSpec
+
+        stack = sorted(m for m in sys.modules
+                       if m.startswith(("repro.networks", "repro.hardware")))
+        assert not stack, f"importing the runtime loaded {stack}"
         import repro.experiments  # noqa: F401
 
         runtime.reset(jobs=1, enabled=False)
