@@ -20,7 +20,6 @@ from the communication model.
 """
 
 from repro.apps.classes import PROBLEMS, ProblemConfig, proc_grid_2d, proc_grid_3d
-from repro.apps.runner import AppResult, run_app, APP_REGISTRY
 
 __all__ = [
     "PROBLEMS",
@@ -31,3 +30,13 @@ __all__ = [
     "proc_grid_2d",
     "proc_grid_3d",
 ]
+
+
+def __getattr__(name):
+    # Lazy runner exports: the runner imports the whole MPI stack, which
+    # reading the problem table (``repro list``) does not need.
+    if name in ("run_app", "AppResult", "APP_REGISTRY"):
+        from repro.apps import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module 'repro.apps' has no attribute {name!r}")

@@ -13,6 +13,7 @@ fig18-23, table2 and the profiling tables) are simulated once; pass
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Iterable, Optional, TextIO
 
@@ -31,6 +32,9 @@ def reproduce_all(quick: bool = True, out: Optional[TextIO] = None,
 
     Returns the full report text; also streams it to ``out`` if given.
     ``jobs`` (when set) reconfigures the process-wide runtime executor.
+    ``progress`` writes a wall-time line per artifact and a run-cache
+    trailer to stderr; they stay out of the report, so two runs of one
+    revision give the same text.
     """
     if jobs is not None:
         runtime.configure(jobs=jobs)
@@ -47,6 +51,10 @@ def reproduce_all(quick: bool = True, out: Optional[TextIO] = None,
         if out is not None:
             print(text, file=out, flush=True)
 
+    def note(text: str) -> None:
+        if progress:
+            print(text, file=sys.stderr, flush=True)
+
     stats = runtime.cache_stats()
     hits0, misses0 = stats.hits, stats.misses
     for name in names:
@@ -59,16 +67,14 @@ def reproduce_all(quick: bool = True, out: Optional[TextIO] = None,
             raise KeyError(f"unknown artifact {name!r}")
         wall = time.time() - t0
         emit(art.render())
-        if progress:
-            emit(f"[{name}: regenerated in {wall:.1f}s wall]")
+        note(f"[{name}: regenerated in {wall:.1f}s wall]")
         emit("")
     if artifacts is None:
         emit(_variance_appendix())
         emit("")
-    if progress:
-        stats = runtime.cache_stats()
-        emit(f"[run cache: {stats.hits - hits0} hits, "
-             f"{stats.misses - misses0} simulated specs]")
+    stats = runtime.cache_stats()
+    note(f"[run cache: {stats.hits - hits0} hits, "
+         f"{stats.misses - misses0} simulated specs]")
     return "\n".join(chunks)
 
 

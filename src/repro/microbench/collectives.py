@@ -33,9 +33,11 @@ def _alltoall_loop(comm, nbytes: int, iters: int, warmup: int):
 
 
 def _allreduce_loop(comm, nbytes: int, iters: int, warmup: int):
+    # placeholder buffers of n float64 elements: PMB reads no sum, and a
+    # dataless buffer charges the same bytes, addresses and combine cost
     n = max(1, nbytes // 8)
-    sbuf = comm.alloc_array(n, dtype="float64")
-    rbuf = comm.alloc_array(n, dtype="float64")
+    sbuf = comm.alloc(8 * n)
+    rbuf = comm.alloc(8 * n)
     t0 = 0.0
     for i in range(warmup + iters):
         if i == warmup:

@@ -20,8 +20,10 @@ A Recorder keeps each stream once, as the payload's rows: plain lists
 :meth:`Recorder.to_dict` hands out shallow copies of the row lists, so
 encoding a run copies no row.  The ``calls`` / ``transfers`` record
 views are built the first time something reads them (and extended as
-rows arrive); :meth:`Recorder.from_dict` keeps the payload's row lists,
-checks their lengths and builds both views at once.
+rows arrive); :meth:`Recorder.from_dict` keeps the payload's row lists
+and checks their lengths, but builds no view.  The statistics of
+:mod:`repro.profiling.stats` read the rows, so summarising a decoded run
+never builds one either.
 
 A Recorder rehydrated from a cached payload is **read-only**: the
 profiling tables decode one per run and compute every statistic of the
@@ -80,10 +82,13 @@ def _extend(view: list, cls, rows: list) -> list:
 
     ``tuple.__new__`` builds each record in C, so no Python-level call
     runs per row (the rows' lengths are checked where they come from).
+    The cyclic collector is paused meanwhile: a large profile is a few
+    hundred thousand fresh tuples and no cycles.
     """
     if len(view) < len(rows):
-        view.extend(map(tuple.__new__, repeat(cls),
-                        islice(rows, len(view), None)))
+        with gc_paused():
+            view.extend(map(tuple.__new__, repeat(cls),
+                            islice(rows, len(view), None)))
     return view
 
 
@@ -162,17 +167,14 @@ class Recorder:
     def from_dict(cls, data: dict) -> "Recorder":
         """Rebuild a (read-only) Recorder from :meth:`to_dict`'s form.
 
-        Runs with the cyclic collector paused: a large profile is a few
-        hundred thousand fresh tuples and no cycles.
+        Keeps the payload's row lists after checking their lengths; the
+        ``calls`` / ``transfers`` views are built on first read.
         """
         rec = cls()
         rec.scale = data["scale"]
         rec.sample_iters = data["sample_iters"]
         rec.call_rows = _check_rows(CallRecord, data["calls"])
         rec.transfer_rows = _check_rows(TransferRecord, data["transfers"])
-        with gc_paused():
-            _extend(rec._calls, CallRecord, rec.call_rows)
-            _extend(rec._transfers, TransferRecord, rec.transfer_rows)
         return rec
 
     # -- convenience -----------------------------------------------------------
@@ -189,7 +191,7 @@ class Recorder:
 
     @property
     def total_volume(self) -> int:
-        return sum(t.nbytes for t in self.transfers)
+        return sum(row[2] for row in self.transfer_rows)  # nbytes
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Recorder calls={len(self.call_rows)} "

@@ -3,7 +3,11 @@
 All functions take a :class:`~repro.profiling.recorder.Recorder` and
 return plain dicts ready for rendering by :mod:`repro.profiling.report`.
 Counts honour ``recorder.scale`` so sampled application runs can be
-extrapolated to full-length executions.
+extrapolated to full-length executions.  They read the payload rows
+(``call_rows`` / ``transfer_rows``, unpacked in the field order of
+:class:`~repro.profiling.recorder.CallRecord` and
+:class:`~repro.profiling.recorder.TransferRecord`), so summarising a
+decoded run builds no record view.
 
 Every function here only *reads* the Recorder: the profiling tables
 run all of them over one decoded Recorder per run (the per-run summary
@@ -59,12 +63,13 @@ def message_size_histogram(rec: Recorder, per_process: bool = True,
     """
     counts = {name: 0 for name, _lo, _hi in SIZE_BUCKETS}
     ranks = set()
-    for c in rec.calls:
-        if c.func not in _SEND_CALLS or c.nbytes <= 0:
+    for rank, func, _peer, nbytes, _addr, _t0, _t1, _blk, _coll, _intra \
+            in rec.call_rows:
+        if func not in _SEND_CALLS or nbytes <= 0:
             continue
-        ranks.add(c.rank)
+        ranks.add(rank)
         for name, lo, hi in SIZE_BUCKETS:
-            if lo <= c.nbytes < hi:
+            if lo <= nbytes < hi:
                 counts[name] += 1
                 break
     div = (nprocs or len(ranks) or 1) if per_process else 1
@@ -74,16 +79,16 @@ def message_size_histogram(rec: Recorder, per_process: bool = True,
 def transfer_size_histogram(rec: Recorder) -> Dict[str, int]:
     """Wire-message counts per size bucket (collective internals included)."""
     counts = {name: 0 for name, _lo, _hi in SIZE_BUCKETS}
-    for t in rec.transfers:
+    for _rank, _peer, nbytes, _intra, _coll, _time in rec.transfer_rows:
         for name, lo, hi in SIZE_BUCKETS:
-            if lo <= t.nbytes < hi:
+            if lo <= nbytes < hi:
                 counts[name] += 1
                 break
     return {name: int(round(n * rec.scale)) for name, n in counts.items()}
 
 
 def _nranks(rec: Recorder) -> int:
-    return len({c.rank for c in rec.calls}) or 1
+    return len({row[0] for row in rec.call_rows}) or 1
 
 
 def nonblocking_stats(rec: Recorder, per_process: bool = True) -> Dict[str, Dict[str, float]]:
@@ -91,7 +96,8 @@ def nonblocking_stats(rec: Recorder, per_process: bool = True) -> Dict[str, Dict
     out = {}
     div = _nranks(rec) if per_process else 1
     for func in ("isend", "irecv"):
-        sizes = [c.nbytes for c in rec.calls if c.func == func]
+        sizes = [nbytes for _rank, f, _peer, nbytes, _addr, _t0, _t1, _blk,
+                 _coll, _intra in rec.call_rows if f == func]
         n = len(sizes)
         avg = sum(sizes) / n if n else 0.0
         out[func] = {"calls": int(round(n * rec.scale / div)), "avg_size": avg}
@@ -112,27 +118,28 @@ def buffer_reuse_rate(rec: Recorder) -> Dict[str, float]:
     over the last simulated iteration's worth of records.
     """
     ordered: Dict[int, list] = defaultdict(list)
-    for c in rec.calls:
-        if c.buf_addr >= 0:
-            ordered[c.rank].append(c)
+    for row in rec.call_rows:
+        if row[4] >= 0:  # buf_addr
+            ordered[row[0]].append(row)
     reuse_calls = total_calls = 0
     reuse_bytes = total_bytes = 0
     grand_total = 0
-    for rank, calls in ordered.items():
-        grand_total += len(calls)
+    for rank, rows in ordered.items():
+        grand_total += len(rows)
         seen: Set[int] = set()
         nsim = max(rec.sample_iters, 1)
-        warm = len(calls) - len(calls) // nsim if nsim > 1 else 0
-        for i, c in enumerate(calls):
-            hit = c.buf_addr in seen
-            seen.add(c.buf_addr)
+        warm = len(rows) - len(rows) // nsim if nsim > 1 else 0
+        for i, (_rank, _func, _peer, nbytes, addr, _t0, _t1, _blk, _coll,
+                _intra) in enumerate(rows):
+            hit = addr in seen
+            seen.add(addr)
             if i < warm:
                 continue
             total_calls += 1
-            total_bytes += c.nbytes
+            total_bytes += nbytes
             if hit:
                 reuse_calls += 1
-                reuse_bytes += c.nbytes
+                reuse_bytes += nbytes
     pct = 100.0 * reuse_calls / total_calls if total_calls else 0.0
     wpct = 100.0 * reuse_bytes / total_bytes if total_bytes else 0.0
     return {"reuse_pct": pct, "weighted_reuse_pct": wpct,
@@ -141,11 +148,15 @@ def buffer_reuse_rate(rec: Recorder) -> Dict[str, float]:
 
 def collective_stats(rec: Recorder) -> Dict[str, Any]:
     """Table 5: collective call count, % of calls, % of volume."""
-    by_name = Counter(c.func for c in rec.calls if c.collective)
+    by_name = Counter(func for _rank, func, _peer, _nbytes, _addr, _t0, _t1,
+                      _blk, coll, _intra in rec.call_rows if coll)
     ncoll = sum(by_name.values())
-    ncalls = len(rec.calls)
-    coll_vol = sum(t.nbytes for t in rec.transfers if t.in_collective)
-    total_vol = sum(t.nbytes for t in rec.transfers)
+    ncalls = len(rec.call_rows)
+    coll_vol = total_vol = 0
+    for _rank, _peer, nbytes, _intra, coll, _time in rec.transfer_rows:
+        total_vol += nbytes
+        if coll:
+            coll_vol += nbytes
     div = _nranks(rec)
     return {
         "calls": int(round(ncoll * rec.scale / div)),
@@ -157,13 +168,18 @@ def collective_stats(rec: Recorder) -> Dict[str, Any]:
 
 def intranode_stats(rec: Recorder) -> Dict[str, float]:
     """Table 6: intra-node share of point-to-point communication."""
-    pt = [t for t in rec.transfers if not t.in_collective]
-    intra = [t.nbytes for t in pt if t.intra]
-    vol_intra = sum(intra)
-    vol_total = sum(t.nbytes for t in pt)
+    npt = nintra = vol_intra = vol_total = 0
+    for _rank, _peer, nbytes, intra, coll, _time in rec.transfer_rows:
+        if coll:
+            continue
+        npt += 1
+        vol_total += nbytes
+        if intra:
+            nintra += 1
+            vol_intra += nbytes
     div = _nranks(rec)
     return {
-        "calls": int(round(len(intra) * rec.scale / div)),
-        "pct_calls": 100.0 * len(intra) / len(pt) if pt else 0.0,
+        "calls": int(round(nintra * rec.scale / div)),
+        "pct_calls": 100.0 * nintra / npt if npt else 0.0,
         "pct_volume": 100.0 * vol_intra / vol_total if vol_total else 0.0,
     }

@@ -326,6 +326,14 @@ class ResultCache:
         if self._backend is not None:
             self._backend.put(digest, payload)
 
+    def release(self, spec: Union[RunSpec, DerivedKey]) -> None:
+        """Drop ``spec``'s entry from the memory tier if the disk tier
+        holds it, so a later lookup is a disk hit; a memory-only cache
+        keeps every entry."""
+        backend = self._backend
+        if backend is not None and backend.path(spec.digest).is_file():
+            self._mem.pop(spec.digest, None)
+
     # ------------------------------------------------------------------
     def __contains__(self, spec: RunSpec) -> bool:
         return spec.digest in self._mem

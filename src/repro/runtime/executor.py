@@ -381,12 +381,25 @@ class SweepExecutor:
         """Payloads aligned with ``specs``; each unique digest is looked
         up once and, on a miss, simulated once."""
         specs = list(specs)
+        out: List[Optional[dict]] = [None] * len(specs)
+        for slots, payload in self._iter_run(specs):
+            for index in slots:
+                out[index] = payload
+        return out  # type: ignore[return-value]
+
+    def _iter_run(self, specs: List[RunSpec]
+                  ) -> Iterator[Tuple[List[int], dict]]:
+        """Yield ``(slots, payload)`` once per unique digest of ``specs``:
+        the cache hits first, then each simulated spec as it finishes
+        (stored, its metrics merged).  ``slots`` are the digest's
+        indexes in ``specs``.  With ``strict``, a :class:`SweepError`
+        follows the last payload if any spec failed."""
         sweep = self.sweep
         sweep.specs += len(specs)
-        out: List[Optional[dict]] = [None] * len(specs)
         indexes: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
             indexes.setdefault(spec.digest, []).append(i)
+        sweep.unique += len(indexes)
         pending: List[RunSpec] = []
         for digest, where in indexes.items():
             spec = specs[where[0]]
@@ -396,8 +409,7 @@ class SweepExecutor:
                 continue
             sweep.cached += 1
             self._emit("cache_hit", spec=spec.describe(), digest=digest)
-            self._resolve(out, where, payload)
-        sweep.unique += len(indexes)
+            yield where, self._merged(payload)
         errors: List[dict] = []
         if pending:
             self._emit("sweep_started", specs=len(specs),
@@ -408,7 +420,8 @@ class SweepExecutor:
                     self._iter_execute(pending), start=1):
                 payload = self._complete(spec, payload, errors, done,
                                          len(pending))
-                self._resolve(out, indexes[spec.digest], payload)
+                yield indexes[spec.digest], self._merged(payload)
+                del payload  # hold none while the next spec runs
             finish = {"executed": len(pending) - len(errors),
                       "errors": len(errors),
                       "wall_s": round(time.perf_counter() - t_sweep, 4)}
@@ -417,18 +430,15 @@ class SweepExecutor:
             self._emit("sweep_finished", **finish)
         if errors and self.strict:
             raise SweepError(errors)
-        return out  # type: ignore[return-value]
 
-    def _resolve(self, out: List[Optional[dict]], slots: List[int],
-                 payload: dict) -> None:
-        """Put one digest's payload in all its ``slots``, merging its
-        metrics once."""
+    def _merged(self, payload: dict) -> dict:
+        """``payload``, its metrics merged into :attr:`metrics` (once
+        per digest; an error payload merges nothing)."""
         if not is_error_payload(payload):
             m = payload.get("metrics")
             if m:
                 self.metrics.merge(m)
-        for index in slots:
-            out[index] = payload
+        return payload
 
     def _complete(self, spec: RunSpec, payload: dict, errors: List[dict],
                   pos: int, total: int) -> dict:
@@ -475,14 +485,19 @@ class SweepExecutor:
         Each spec's entry is looked up under :func:`derived_key` in the
         memory and disk tiers before any payload is read, so a warm
         hit never touches the base payload.  The specs that miss resolve
-        through :meth:`run` (parallel, deduplicated, exactly-once), and
-        ``fn`` runs once per digest with the collector paused.  Its
-        result must be JSON-able; it is stored with the base payload's
-        ``metrics``, which a hit merges as :meth:`run` would have, so
-        ``--metrics`` reads the same cold and warm.  An error payload is
-        returned in its slot (``strict`` raises) and never stored.
-        Every caller of one entry gets the same value: read-only by
-        contract.  With no cache, ``fn`` runs on every call.
+        as one sweep (parallel, deduplicated, exactly-once), summarised
+        as they finish: each payload is stored, ``fn`` runs on it once
+        per digest with the collector paused, and its value is stored
+        before the next payload is taken.  With a disk tier the base
+        payload then leaves the memory tier (a later read is a disk
+        hit), so a cold sweep holds one payload at a time; a
+        memory-only cache keeps it.  ``fn``'s result must be JSON-able;
+        it is stored with the base payload's ``metrics``, which a hit
+        merges as :meth:`run` would have, so ``--metrics`` reads the
+        same cold and warm.  An error payload is returned in its slot
+        (``strict`` raises) and never stored.  Every caller of one
+        entry gets the same value: read-only by contract.  With no
+        cache, ``fn`` runs on every call.
         """
         specs = list(specs)
         values: Dict[str, Any] = {}
@@ -504,7 +519,8 @@ class SweepExecutor:
             if entry["metrics"]:
                 self.metrics.merge(entry["metrics"])
         self.sweep.specs += len(specs) - len(missing)
-        for spec, payload in zip(missing, self.run(missing)):
+        for slots, payload in self._iter_run(missing):
+            spec = missing[slots[0]]
             if is_error_payload(payload):
                 values[spec.digest] = payload
                 continue
@@ -515,6 +531,8 @@ class SweepExecutor:
                 self.cache.store(keys[spec.digest], {
                     "kind": KIND_DERIVED, "value": value,
                     "metrics": payload.get("metrics")})
+                self.cache.release(spec)
+            del payload  # hold none while the next spec runs
         return [values[spec.digest] for spec in specs]
 
     def run_one(self, spec: RunSpec) -> dict:

@@ -108,12 +108,15 @@ class TestCalibrationDoc:
 
 
 class TestReportAll:
-    def test_subset_report(self):
+    def test_subset_report(self, capsys):
         from repro.experiments import reproduce_all
 
         txt = reproduce_all(artifacts=["fig13", "table5"], progress=True)
         assert "fig13" in txt and "table5" in txt
-        assert "regenerated in" in txt
+        # progress goes to stderr, so the report text is reproducible
+        err = capsys.readouterr().err
+        assert "[fig13: regenerated in" in err and "[run cache:" in err
+        assert "regenerated in" not in txt and "run cache" not in txt
 
     def test_unknown_artifact(self):
         from repro.experiments import reproduce_all

@@ -210,6 +210,62 @@ def test_profile_dict_pinned(run, expected):
     assert profile_dict(res.recorder) == expected
 
 
+#: the five statistics of the profiling tables' per-run summary for two
+#: sampled 8-rank InfiniBand runs, computed from record views before
+#: the statistics read the payload rows; floats compare exactly
+PINNED_SUMMARIES = [
+    (("sweep3d", "50", 1), {
+        "sizes": {"<2K": 18000, "2K-16K": 0, "16K-1M": 0, ">1M": 0},
+        "nonblocking": {"isend": {"calls": 0, "avg_size": 0.0},
+                        "irecv": {"calls": 0, "avg_size": 0.0}},
+        "reuse": {"reuse_pct": 100.0, "weighted_reuse_pct": 100.0,
+                  "calls": 288000},
+        "collective": {"calls": 36, "pct_calls": 0.0999000999000999,
+                       "pct_volume": 0.0009469607295385461,
+                       "by_name": {"barrier": 36}},
+        "intranode": {"calls": 0, "pct_calls": 0.0, "pct_volume": 0.0},
+    }),
+    (("lu", "B", 2), {
+        "sizes": {"<2K": 64000, "2K-16K": 0, "16K-1M": 625, ">1M": 0},
+        "nonblocking": {"isend": {"calls": 625, "avg_size": 165648.0},
+                        "irecv": {"calls": 625, "avg_size": 165648.0}},
+        "reuse": {"reuse_pct": 100.0, "weighted_reuse_pct": 100.0,
+                  "calls": 1032000},
+        "collective": {"calls": 625, "pct_calls": 0.4830917874396135,
+                       "pct_volume": 0.0022336021906204403,
+                       "by_name": {"allreduce": 250, "barrier": 375}},
+        "intranode": {"calls": 25750, "pct_calls": 40.0,
+                      "pct_volume": 24.63054187192118},
+    }),
+]
+
+
+@pytest.mark.parametrize("run,expected", PINNED_SUMMARIES,
+                         ids=[f"{r[0]}.{r[1]}-ppn{r[2]}"
+                              for r, _ in PINNED_SUMMARIES])
+def test_summary_pinned_and_reads_rows_only(run, expected, monkeypatch):
+    """A decoded run's table summary equals the record-view values and
+    builds no record view: the statistics read the payload rows."""
+    from repro import runtime
+    from repro.experiments.tables import _profile_summary
+    from repro.profiling import recorder as recorder_module
+    from repro.runtime import RunSpec
+
+    app, klass, ppn = run
+    spec = RunSpec.app(app, klass, "infiniband", 8, ppn=ppn, record=True,
+                       sample_iters=2)
+    runtime.configure(enabled=False)
+    try:
+        payload = json.loads(json.dumps(runtime.run_spec(spec)))
+    finally:
+        runtime.reset()
+    built = []
+    monkeypatch.setattr(recorder_module, "_extend",
+                        lambda view, cls, rows: built.append(cls) or view)
+    assert _profile_summary(payload) == expected
+    assert built == []
+
+
 class TestStats:
     def test_message_size_histogram_buckets(self, network):
         res = mpi_run(_mixed_traffic, nprocs=2, network=network)

@@ -532,6 +532,63 @@ class TestDerive:
         assert (cold_disk, warm_disk) == (1, 1)  # base, then derived
 
 
+    def test_disk_tier_keeps_summaries_not_payloads(self, tmp_path):
+        specs = [tiny_bench_spec(), tiny_bench_spec(sizes=(4,))]
+        cache = ResultCache(disk_dir=tmp_path)
+        ex = SweepExecutor(cache=cache)
+        points = ex.derive(specs, _points)
+        assert all(derived_key(s, _points) in cache for s in specs)
+        assert not any(s in cache for s in specs)
+        misses, disk_hits = cache.stats.misses, cache.stats.disk_hits
+        payloads = ex.run(specs)
+        assert [p["points"] for p in payloads] == points
+        assert cache.stats.misses == misses == 2
+        assert cache.stats.disk_hits == disk_hits + 2
+
+    def test_memory_only_cache_keeps_payloads(self):
+        specs = [tiny_bench_spec(), tiny_bench_spec(sizes=(4,))]
+        cache = ResultCache()
+        ex = SweepExecutor(cache=cache)
+        points = ex.derive(specs, _points)
+        assert all(derived_key(s, _points) in cache for s in specs)
+        assert all(s in cache for s in specs)
+        hits = cache.stats.hits
+        assert [p["points"] for p in ex.run(specs)] == points
+        assert (cache.stats.hits, cache.stats.misses) == (hits + 2, 2)
+
+    def test_summarises_each_run_as_it_finishes(self, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        events = []
+        execute = executor_module._safe_execute
+
+        def logged(spec, **kw):
+            events.append("run")
+            return execute(spec, **kw)
+
+        def summary(payload):
+            events.append("derive")
+            return payload["points"]
+
+        monkeypatch.setattr(executor_module, "_safe_execute", logged)
+        specs = [tiny_bench_spec(), tiny_bench_spec(sizes=(4,))]
+        SweepExecutor(cache=ResultCache()).derive(specs, summary)
+        assert events == ["run", "derive", "run", "derive"]
+
+    def test_parallel_equals_serial(self):
+        specs = [tiny_bench_spec(), tiny_app_spec(),
+                 tiny_bench_spec(sizes=(4,)), tiny_bench_spec()]
+        serial = SweepExecutor(cache=ResultCache()).derive(specs, _points_or_time)
+        with SweepExecutor(jobs=2, cache=ResultCache()) as ex:
+            parallel = ex.derive(specs, _points_or_time)
+            assert ex.cache.stats.misses == 3
+        assert parallel == serial
+
+
+def _points_or_time(payload):
+    return payload.get("points", payload.get("elapsed_s"))
+
+
 # ----------------------------------------------------------------------
 # Profiling tables served from per-run summaries
 # ----------------------------------------------------------------------
