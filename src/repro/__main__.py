@@ -234,6 +234,7 @@ def _cmd_diff(ns) -> int:
 
 def _cmd_trace(ns) -> int:
     """``repro trace <target>``: run fully-traced and export Perfetto JSON."""
+    from repro.obs.collector import collect
     from repro.profiling.trace_export import (category_summary, critical_path,
                                               traced_app, traced_pingpong,
                                               write_chrome_trace)
@@ -247,26 +248,27 @@ def _cmd_trace(ns) -> int:
     options = parse_mpi_options(ns) or None
     tracers = {}
     cp_networks = []
-    if "." in target:  # app.class kernel trace
-        app, klass = target.split(".", 1)
-        res, tracer = traced_app(app, klass, network, nprocs=4,
-                                 categories=cats, mpi_options=options)
-        tracers[f"{target}:{network}"] = tracer
-        runtime.metrics().merge(res.metrics or {})
-        cp_networks = [network]
-    elif target in ("pingpong", "pt2pt"):
-        res, tracer = traced_pingpong(network, nbytes=size,
+    with collect() as col:
+        if "." in target:  # app.class kernel trace
+            app, klass = target.split(".", 1)
+            _res, tracer = traced_app(app, klass, network, nprocs=4,
                                       categories=cats, mpi_options=options)
-        tracers[network] = tracer
-        runtime.metrics().merge(res.metrics)
-        cp_networks = [network]
-    else:  # figN / tableN / latency: traced pingpong on all three fabrics
-        for net in NETWORKS:
-            res, tracer = traced_pingpong(net, nbytes=size,
-                                          categories=cats, mpi_options=options)
-            tracers[net] = tracer
-            runtime.metrics().merge(res.metrics)
-        cp_networks = list(NETWORKS)
+            tracers[f"{target}:{network}"] = tracer
+            cp_networks = [network]
+        elif target in ("pingpong", "pt2pt"):
+            _res, tracer = traced_pingpong(network, nbytes=size,
+                                           categories=cats, mpi_options=options)
+            tracers[network] = tracer
+            cp_networks = [network]
+        else:  # figN / tableN / latency: traced pingpong on all three fabrics
+            for net in NETWORKS:
+                _res, tracer = traced_pingpong(net, nbytes=size, categories=cats,
+                                               mpi_options=options)
+                tracers[net] = tracer
+            cp_networks = list(NETWORKS)
+    # the traced worlds ran outside any sweep: their metrics and engine
+    # wall time reach --metrics from their collector
+    runtime.metrics().merge(col.metrics).inc("engine.wall_s", col.wall_s)
     nev = write_chrome_trace(ns.out, tracers)
     print(f"wrote {nev} trace events to {ns.out} "
           "(load in https://ui.perfetto.dev)")
@@ -455,11 +457,12 @@ def main(argv=None) -> int:
             engine_line = reg.engine_summary()
             if engine_line:
                 print(engine_line)
+        # on stderr: the sweep's wall time would make two runs' stdout differ
         trailer = f"[cache] {runtime.cache_stats()}"
         sweep = runtime.sweep_stats()
         if sweep.specs:
             trailer += f" | sweep: {sweep.line()}"
-        print(trailer)
+        print(trailer, file=sys.stderr)
     return rc
 
 

@@ -66,7 +66,8 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
     """Execute one app RunSpec on a fresh world; return the plain payload.
 
     This is the simulation core behind ``run_app``, invoked by the
-    runtime executor (possibly in a worker process).  In paper mode,
+    runtime executor (possibly in a worker process), which adds the
+    world's ``metrics`` from the spec's collector.  In paper mode,
     only ``sample_iters`` of the homogeneous main loop are simulated;
     the loop time and the profile are extrapolated to the full
     iteration count (``recorder.scale``).
@@ -118,7 +119,6 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
         "elapsed_s": elapsed_us / 1e6, "sim_iters": nsim,
         "total_iters": cfg.niters, "verified": verified,
         "recorder": res.recorder.to_dict() if res.recorder is not None else None,
-        "metrics": res.metrics.to_dict() if res.metrics is not None else None,
     }
 
 

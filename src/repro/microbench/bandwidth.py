@@ -14,49 +14,19 @@ from repro.microbench.common import (PAPER_BW_SIZES, Series, bandwidth_mbps,
                                      run_pair, summarize_samples)
 
 __all__ = ["measure_bandwidth", "measure_bidir_bandwidth", "stream_fn",
-           "bistream_fn", "stream_probe_fn"]
+           "bistream_fn"]
 
 
-def stream_fn(comm, nbytes: int, window: int, rounds: int, warmup_rounds: int):
-    """Windowed uni-directional stream; rank 0 returns MB/s."""
-    total_rounds = warmup_rounds + rounds
-    if comm.rank == 0:
-        bufs = [comm.alloc(nbytes) for _ in range(window)]
-        ack = comm.alloc(4)
-        t0 = 0.0
-        for r in range(total_rounds):
-            if r == warmup_rounds:
-                t0 = comm.sim.now
-            reqs = []
-            for w in range(window):
-                req = yield from comm.isend(bufs[w], dest=1, tag=0)
-                reqs.append(req)
-            yield from comm.waitall(reqs)
-        # final handshake so timing covers delivery of the last window
-        yield from comm.recv(ack, source=1, tag=9)
-        elapsed = comm.sim.now - t0
-        return bandwidth_mbps(rounds * window * nbytes, elapsed)
-    else:
-        bufs = [comm.alloc(nbytes) for _ in range(window)]
-        ack = comm.alloc(4)
-        for r in range(total_rounds):
-            reqs = []
-            for w in range(window):
-                req = yield from comm.irecv(bufs[w], source=0, tag=0)
-                reqs.append(req)
-            yield from comm.waitall(reqs)
-        yield from comm.send(ack, dest=0, tag=9)
+def stream_fn(comm, nbytes: int, window: int, rounds: int, warmup_rounds: int,
+              samples: Optional[list] = None):
+    """Windowed uni-directional stream; rank 0 returns MB/s.
 
-
-def stream_probe_fn(comm, nbytes: int, window: int, rounds: int,
-                    warmup_rounds: int, samples: list):
-    """:func:`stream_fn` with per-round MB/s recorded into ``samples``.
-
-    The event sequence matches the plain stream exactly; rank 0 just
-    reads the clock once more per post-warmup round.  Per-round rates
-    exclude the final delivery handshake, so their mean sits slightly
-    above the headline sustained figure — they measure dispersion, not
-    a second bandwidth estimate.
+    Given a ``samples`` list, rank 0 also appends each post-warmup
+    round's MB/s to it; reading the clock adds no event, so the
+    headline figure is unchanged.  Per-round rates exclude the final
+    delivery handshake, so their mean sits slightly above the headline
+    sustained figure — they measure dispersion, not a second bandwidth
+    estimate.
     """
     total_rounds = warmup_rounds + rounds
     if comm.rank == 0:
@@ -72,9 +42,10 @@ def stream_probe_fn(comm, nbytes: int, window: int, rounds: int,
                 req = yield from comm.isend(bufs[w], dest=1, tag=0)
                 reqs.append(req)
             yield from comm.waitall(reqs)
-            if r >= warmup_rounds:
+            if samples is not None and r >= warmup_rounds:
                 samples.append(bandwidth_mbps(window * nbytes,
                                               comm.sim.now - t_round))
+        # final handshake so timing covers delivery of the last window
         yield from comm.recv(ack, source=1, tag=9)
         elapsed = comm.sim.now - t0
         return bandwidth_mbps(rounds * window * nbytes, elapsed)
@@ -129,18 +100,13 @@ def measure_bandwidth(network: str, sizes: Sequence[int] = PAPER_BW_SIZES,
     if stats:
         series.stats = {}
     for n in sizes:
-        if stats:
-            samples: list = []
-            bw, _ = run_pair(stream_probe_fn, network,
-                             args=(n, window, rounds, warmup_rounds, samples),
-                             net_overrides=net_overrides,
-                             mpi_options=mpi_options, faults=faults)
+        samples = [] if stats else None
+        bw, _ = run_pair(stream_fn, network,
+                         args=(n, window, rounds, warmup_rounds, samples),
+                         net_overrides=net_overrides,
+                         mpi_options=mpi_options, faults=faults)
+        if samples is not None:
             series.stats[float(n)] = summarize_samples(samples)
-        else:
-            bw, _ = run_pair(stream_fn, network,
-                             args=(n, window, rounds, warmup_rounds),
-                             net_overrides=net_overrides,
-                             mpi_options=mpi_options, faults=faults)
         series.add(n, bw)
     return series
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.microbench.common import Series, _SINKS
+from repro.microbench.common import Series
 from repro.mpi.world import MPIWorld
 
 __all__ = ["measure_alltoall", "measure_allreduce", "COLL_SIZES"]
@@ -55,8 +55,6 @@ def _measure(loop_fn, network: str, nprocs: int, sizes, iters, warmup,
         world = MPIWorld(nprocs, network=network, record=False,
                          net_overrides=net_overrides)
         res = world.run(loop_fn, args=(n, iters, warmup))
-        if _SINKS and res.metrics is not None:
-            _SINKS[-1].merge(res.metrics)
         series.add(n, res.returns[0])
     return series
 

@@ -2,35 +2,18 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.core.metrics import MetricsRegistry
 from repro.core.units import bytes_per_us_to_mbps
 from repro.mpi.world import MPIWorld
 from repro.series import Series, series_from_payload
 
 __all__ = [
     "PAPER_LAT_SIZES", "PAPER_BW_SIZES", "PAPER_SMALL_SIZES",
-    "Series", "run_pair", "bandwidth_mbps", "metrics_sink",
+    "Series", "run_pair", "bandwidth_mbps",
     "bench_registry", "series_from_payload", "measure",
     "summarize_samples",
 ]
-
-#: active metrics sinks; run_pair folds each world's registry into the
-#: innermost one, so microbench payloads carry per-run counters (the
-#: executor installs a sink around every measure_* call)
-_SINKS: List[MetricsRegistry] = []
-
-
-@contextmanager
-def metrics_sink(registry: MetricsRegistry):
-    """Collect the metrics of every world run inside the ``with`` body."""
-    _SINKS.append(registry)
-    try:
-        yield registry
-    finally:
-        _SINKS.pop()
 
 #: Fig. 1 x-axis: 4 B .. 16 KB in powers of 4
 PAPER_LAT_SIZES: Sequence[int] = tuple(4 ** k for k in range(1, 8))
@@ -70,8 +53,6 @@ def run_pair(rank_fn, network: str, nprocs: int = 2, ppn: int = 1,
     world = MPIWorld(nprocs, network=network, ppn=ppn, record=record,
                      net_overrides=net_overrides, **world_kw)
     res = world.run(rank_fn, args=args)
-    if _SINKS and res.metrics is not None:
-        _SINKS[-1].merge(res.metrics)
     return res.returns[0], res
 
 

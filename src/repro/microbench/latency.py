@@ -14,34 +14,16 @@ from repro.microbench.common import (PAPER_LAT_SIZES, Series, run_pair,
                                      summarize_samples)
 
 __all__ = ["measure_latency", "measure_bidir_latency", "pingpong_fn",
-           "pingping_fn", "pingpong_probe_fn"]
+           "pingping_fn"]
 
 
-def pingpong_fn(comm, nbytes: int, iters: int, warmup: int):
-    """Two-rank ping-pong; rank 0 returns the one-way latency in µs."""
-    buf = comm.alloc(nbytes)
-    total = warmup + iters
-    t0 = 0.0
-    for i in range(total):
-        if i == warmup:
-            t0 = comm.sim.now
-        if comm.rank == 0:
-            yield from comm.send(buf, dest=1, tag=0)
-            yield from comm.recv(buf, source=1, tag=1)
-        else:
-            yield from comm.recv(buf, source=0, tag=0)
-            yield from comm.send(buf, dest=0, tag=1)
-    if comm.rank == 0:
-        return (comm.sim.now - t0) / (2 * iters)
+def pingpong_fn(comm, nbytes: int, iters: int, warmup: int,
+                samples: Optional[list] = None):
+    """Two-rank ping-pong; rank 0 returns the one-way latency in µs.
 
-
-def pingpong_probe_fn(comm, nbytes: int, iters: int, warmup: int,
-                      samples: list):
-    """:func:`pingpong_fn` with per-iteration one-way times recorded.
-
-    Identical event sequence to the plain ping-pong (so the headline
-    mean is unchanged); rank 0 additionally appends each post-warmup
-    iteration's half round-trip to ``samples`` for repetition stats.
+    Given a ``samples`` list, rank 0 also appends each post-warmup
+    iteration's half round-trip to it, for repetition stats; reading
+    the clock adds no event, so the headline mean is unchanged.
     """
     buf = comm.alloc(nbytes)
     total = warmup + iters
@@ -49,11 +31,11 @@ def pingpong_probe_fn(comm, nbytes: int, iters: int, warmup: int,
     for i in range(total):
         if i == warmup:
             t0 = comm.sim.now
-        t_iter = comm.sim.now
         if comm.rank == 0:
+            t_iter = comm.sim.now
             yield from comm.send(buf, dest=1, tag=0)
             yield from comm.recv(buf, source=1, tag=1)
-            if i >= warmup:
+            if samples is not None and i >= warmup:
                 samples.append((comm.sim.now - t_iter) / 2.0)
         else:
             yield from comm.recv(buf, source=0, tag=0)
@@ -95,17 +77,12 @@ def measure_latency(network: str, sizes: Sequence[int] = PAPER_LAT_SIZES,
     if stats:
         series.stats = {}
     for n in sizes:
-        if stats:
-            samples: list = []
-            lat, _ = run_pair(pingpong_probe_fn, network,
-                              args=(n, iters, warmup, samples),
-                              net_overrides=net_overrides,
-                              mpi_options=mpi_options, faults=faults)
+        samples = [] if stats else None
+        lat, _ = run_pair(pingpong_fn, network, args=(n, iters, warmup, samples),
+                          net_overrides=net_overrides,
+                          mpi_options=mpi_options, faults=faults)
+        if samples is not None:
             series.stats[float(n)] = summarize_samples(samples)
-        else:
-            lat, _ = run_pair(pingpong_fn, network, args=(n, iters, warmup),
-                              net_overrides=net_overrides,
-                              mpi_options=mpi_options, faults=faults)
         series.add(n, lat)
     return series
 

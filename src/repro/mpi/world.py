@@ -37,7 +37,7 @@ from repro.hardware.memory import AddressSpace
 from repro.mpi.communicator import Communicator, MPIEndpoint
 from repro.mpi.devices import device_class_for
 from repro.networks import canonical_network, make_fabric
-from repro.obs.timeline import TimelineSampler, active_capture
+from repro.obs.collector import active_collector
 from repro.profiling.recorder import Recorder
 
 __all__ = ["MPIWorld", "WorldResult", "mpi_run"]
@@ -154,11 +154,11 @@ class MPIWorld:
         self.comms: List[Communicator] = [
             Communicator(ep, all_ranks, ctx=0) for ep in self.endpoints
         ]
-        # timeline sampling is opt-in: a capture() context (pushed by
-        # execute_spec for timeline-enabled RunSpecs) makes every world
-        # built inside it carry a sampler; the default is zero overhead
-        cfg = active_capture()
-        self._timeline = TimelineSampler(self, cfg) if cfg is not None else None
+        # the collector of the spec this world runs for (opened by
+        # execute_spec) takes its metrics, wall time and timeline; it
+        # asks for a timeline sampler only for timeline-enabled specs
+        col = self._collector = active_collector()
+        self._timeline = col.sampler(self) if col is not None else None
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -207,10 +207,10 @@ class MPIWorld:
             self._timeline.start()
         t0 = time.perf_counter()
         returns = self.sim.run(until_event=done, until=until)
-        self._wall_s = time.perf_counter() - t0
+        wall_s = time.perf_counter() - t0
         self._finalize_metrics()
-        if self._timeline is not None:
-            self._timeline.cfg.collected.append(self._timeline.finish())
+        if self._collector is not None:
+            self._collector.report(self.sim.metrics, wall_s, self._timeline)
         return WorldResult(elapsed_us=self.sim.now, returns=returns,
                            recorder=self.recorder, world=self,
                            metrics=self.sim.metrics)
@@ -228,11 +228,6 @@ class MPIWorld:
         # additive twin of the engine.events gauge: survives
         # MetricsRegistry.merge across the many worlds of a sweep
         m.inc("engine.events_total", self.sim.events_processed)
-        # wall-clock spent inside Simulator.run for this world; additive,
-        # so events_total / wall_s is the aggregate events/sec of a sweep.
-        # Real time is not simulation output: execute_spec hoists it out
-        # of cached payloads into the "_wall_s" side channel
-        m.inc("engine.wall_s", getattr(self, "_wall_s", 0.0))
         # histograms merge with max, so the deepest world of a sweep wins
         m.observe("engine.peak_queue_depth", float(self.sim.peak_queue_depth))
         for dev in self.devices.values():

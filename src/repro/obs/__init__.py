@@ -1,6 +1,9 @@
 """Time-resolved observability: timelines, run ledger, diff reports.
 
-Three consumers sit on top of the end-of-run counters PR 2 introduced:
+One collector per spec feeds them: :mod:`repro.obs.collector` takes
+every world's metrics, engine wall time and timeline for the spec it
+runs under.  Three consumers sit on top of the end-of-run counters PR 2
+introduced:
 
 - :mod:`repro.obs.timeline` — a deterministic sim-time sampler that
   snapshots live engine/fabric/MPI state at fixed simulated intervals,

@@ -10,11 +10,11 @@ exactly as deterministic as the run itself: serial and ``--jobs N``
 execution produce byte-identical timeline payloads.
 
 Opt-in is per spec: ``RunSpec.params["timeline"]`` (``True`` for the
-default interval, or a number of microseconds) makes the executor wrap
-the run in :func:`capture`; worlds built while a capture is active
-install a sampler, and the collected per-world timelines land in the
-payload under ``payload["timeline"]``.  Specs without the param digest
-and execute exactly as before — the sampler does not exist.
+default interval, or a number of microseconds) sets the interval of the
+spec's :class:`~repro.obs.collector.Collector`; every world built under
+it installs a sampler, and the per-world timelines land in the payload
+under ``payload["timeline"]``.  Specs without the param digest and
+execute exactly as before — the sampler does not exist.
 
 Timing neutrality: sampler ticks are extra engine entries, but they
 only read state, so the *times* of every other event are unchanged
@@ -31,54 +31,14 @@ on a uniform grid.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-__all__ = ["DEFAULT_INTERVAL_US", "MAX_SAMPLES", "TimelineConfig",
-           "TimelineSampler", "capture", "active_capture"]
+__all__ = ["DEFAULT_INTERVAL_US", "MAX_SAMPLES", "TimelineSampler"]
 
 #: sampling interval when ``params["timeline"]`` is just ``True``
 DEFAULT_INTERVAL_US = 10.0
 #: stored-row cap; hitting it halves the rows and doubles the interval
 MAX_SAMPLES = 512
-
-
-class TimelineConfig:
-    """One active capture: interval plus the per-world timelines collected."""
-
-    __slots__ = ("interval_us", "max_samples", "collected")
-
-    def __init__(self, interval_us: float,
-                 max_samples: int = MAX_SAMPLES) -> None:
-        if interval_us <= 0:
-            raise ValueError(f"timeline interval must be > 0, "
-                             f"got {interval_us!r}")
-        self.interval_us = float(interval_us)
-        self.max_samples = int(max_samples)
-        #: one dict per world run inside the capture (see
-        #: :meth:`TimelineSampler.finish` for the schema)
-        self.collected: List[dict] = []
-
-
-#: innermost active capture (a stack, mirroring ``metrics_sink``)
-_CAPTURES: List[TimelineConfig] = []
-
-
-@contextmanager
-def capture(interval_us: float = DEFAULT_INTERVAL_US,
-            max_samples: int = MAX_SAMPLES):
-    """Collect a timeline from every world run inside the ``with`` body."""
-    cfg = TimelineConfig(interval_us, max_samples)
-    _CAPTURES.append(cfg)
-    try:
-        yield cfg
-    finally:
-        _CAPTURES.pop()
-
-
-def active_capture() -> Optional[TimelineConfig]:
-    """The innermost active capture, or None (the common case)."""
-    return _CAPTURES[-1] if _CAPTURES else None
 
 
 class _RndvWatch:
@@ -103,12 +63,12 @@ class _RndvWatch:
 class TimelineSampler:
     """Periodic live-state snapshots of one world, on the sim clock."""
 
-    def __init__(self, world, cfg: TimelineConfig) -> None:
+    def __init__(self, world, interval_us: float,
+                 max_samples: int = MAX_SAMPLES) -> None:
         self.world = world
         self.sim = world.sim
-        self.cfg = cfg
-        self.interval = cfg.interval_us
-        self.max_samples = max(8, cfg.max_samples)
+        self.interval = float(interval_us)
+        self.max_samples = max(8, int(max_samples))
         self.times: List[float] = []
         self.rows: List[Dict[str, float]] = []
         self._rndv = _RndvWatch()

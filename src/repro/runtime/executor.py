@@ -31,7 +31,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.engine import gc_paused
 from repro.core.metrics import MetricsRegistry
-from repro.obs.timeline import DEFAULT_INTERVAL_US, capture
+from repro.obs.collector import collect
+from repro.obs.timeline import DEFAULT_INTERVAL_US
 from repro.runtime.cache import DerivedKey, ResultCache, derived_key
 from repro.runtime.spec import KIND_APP, KIND_MICROBENCH, RunSpec, thaw_mapping
 
@@ -80,71 +81,55 @@ def execute_spec(spec: RunSpec) -> dict:
     :class:`SweepExecutor`).  Must stay importable at module top level
     (no closures) so ``multiprocessing`` workers can receive it.
 
-    A truthy ``timeline`` entry in ``spec.params`` runs the whole spec
-    under an :func:`repro.obs.timeline.capture` context: every
-    :class:`~repro.mpi.world.MPIWorld` built for the spec samples its
-    live counters on a fixed sim-time grid, and the collected timelines
-    ride in ``payload["timeline"]``.  The grid is pure simulation time,
-    so timeline payloads stay bit-deterministic (and cacheable) exactly
+    The spec runs under its :func:`repro.obs.collector.collect`
+    context: every :class:`~repro.mpi.world.MPIWorld` built for it
+    hands the collector its metrics, which land in
+    ``payload["metrics"]``.  A truthy ``timeline`` entry in
+    ``spec.params`` also makes every world sample its live counters on
+    a fixed sim-time grid; the timelines ride in
+    ``payload["timeline"]``.  The grid is pure simulation time, so
+    timeline payloads stay bit-deterministic (and cacheable) exactly
     like untimed ones.
     """
-    interval = _timeline_interval(spec)
-    if interval is None:
-        return _execute_raw(spec)
-    with capture(interval_us=interval) as cfg:
-        payload = _execute_raw(spec)
-    payload["timeline"] = cfg.collected
+    with _collect(spec) as col:
+        if spec.kind == KIND_APP:
+            from repro.apps.runner import simulate_app_spec
+
+            payload = simulate_app_spec(spec)
+        elif spec.kind == KIND_MICROBENCH:
+            payload = _execute_microbench(spec)
+        else:  # pragma: no cover
+            raise ValueError(f"unknown spec kind {spec.kind!r}")
+    if col.metrics:
+        payload["metrics"] = col.metrics.to_dict()
+    if col.interval_us is not None:
+        payload["timeline"] = col.timelines
     return payload
 
 
-def _timeline_interval(spec: RunSpec) -> Optional[float]:
-    """Sampling interval requested by ``spec.params["timeline"]``, or None.
+def _collect(spec: RunSpec):
+    """The spec's collector; a second call inside the first joins it.
 
-    ``True`` (and the CLI's bare ``--timeline``) selects the default
-    interval; any other truthy value is the interval in sim-µs.
+    ``True`` in ``spec.params["timeline"]`` (and the CLI's bare
+    ``--timeline``) selects the default sampling interval; any other
+    truthy value is the interval in sim-µs.
     """
     value = thaw_mapping(spec.params).get("timeline")
     if not value:
-        return None
-    if value is True:
-        return DEFAULT_INTERVAL_US
-    return float(value)
-
-
-def _execute_raw(spec: RunSpec) -> dict:
-    if spec.kind == KIND_APP:
-        from repro.apps.runner import simulate_app_spec
-
-        return _hoist_wall(simulate_app_spec(spec))
-    if spec.kind == KIND_MICROBENCH:
-        return _hoist_wall(_execute_microbench(spec))
-    raise ValueError(f"unknown spec kind {spec.kind!r}")  # pragma: no cover
-
-
-def _hoist_wall(payload: dict) -> dict:
-    """Move the ``engine.wall_s`` counter out of the payload's metrics.
-
-    Wall-clock is *real* time, not simulation output: leaving it inside
-    ``payload["metrics"]`` would make otherwise bit-deterministic
-    payloads differ run to run (breaking the serial == parallel and
-    cache-stability guarantees).  It travels under the ``"_wall_s"``
-    side-channel key instead, which :meth:`SweepExecutor.run` pops and
-    aggregates before the payload is cached or returned.
-    """
-    m = payload.get("metrics")
-    if m:
-        wall = m.get("counters", {}).pop("engine.wall_s", None)
-        if wall:
-            payload["_wall_s"] = wall
-    return payload
+        interval = None
+    elif value is True:
+        interval = DEFAULT_INTERVAL_US
+    else:
+        interval = float(value)
+    return collect(spec, interval_us=interval)
 
 
 def _execute_microbench(spec: RunSpec) -> dict:
-    from repro.microbench.common import bench_registry, metrics_sink
+    from repro.microbench.common import bench_registry
 
     kwargs = thaw_mapping(spec.params)
-    # timeline is executor-level (handled by execute_spec's capture
-    # context), not a bench-function parameter
+    # timeline is executor-level (the interval of execute_spec's
+    # collector), not a bench-function parameter
     kwargs.pop("timeline", None)
     try:
         fn = bench_registry()[spec.target]
@@ -173,9 +158,7 @@ def _execute_microbench(spec: RunSpec) -> dict:
             raise TypeError(f"microbench {spec.target!r} does not accept "
                             "fault injection")
         kwargs["faults"] = thaw_mapping(spec.faults)
-    sink = MetricsRegistry()
-    with metrics_sink(sink):
-        series = fn(spec.network, **kwargs)
+    series = fn(spec.network, **kwargs)
     payload = {"kind": KIND_MICROBENCH, "bench": spec.target,
                "label": series.label,
                "points": [[float(x), float(y)] for x, y in series.points]}
@@ -184,8 +167,6 @@ def _execute_microbench(spec: RunSpec) -> dict:
         # per-size repetition statistics (n / mean / min / max / ci95),
         # emitted by benches run with stats=True
         payload["stats"] = {str(x): dict(s) for x, s in stats.items()}
-    if sink:
-        payload["metrics"] = sink.to_dict()
     return payload
 
 
@@ -204,8 +185,13 @@ def _error_payload(spec: RunSpec, exc: BaseException) -> dict:
 
 
 def _safe_execute(spec: RunSpec, timeout_s: Optional[float] = None,
-                  keep_exception: bool = False) -> dict:
+                  keep_exception: bool = False) -> Tuple[dict, float, float]:
     """Isolated single-spec execution: errors become payloads.
+
+    Returns ``(payload, elapsed_s, engine_s)``: the spec's
+    end-to-end wall time (setup + run + teardown) and the part of it
+    its engines spent in ``Simulator.run``.  Real time is not
+    simulation output, so it travels beside the payload, never in it.
 
     Runs in workers via :func:`functools.partial`, so it must stay at
     module top level.  ``timeout_s`` arms the engine's wall-clock
@@ -218,19 +204,20 @@ def _safe_execute(spec: RunSpec, timeout_s: Optional[float] = None,
 
     engine.set_wall_timeout(timeout_s)
     t0 = time.perf_counter()
+    wall_s = 0.0
     try:
-        payload = execute_spec(spec)
+        # execute_spec joins this collector, so its engine wall time
+        # is read here
+        with _collect(spec) as col:
+            payload = execute_spec(spec)
+        wall_s = col.wall_s
     except Exception as exc:
         payload = _error_payload(spec, exc)
         if keep_exception:
             payload["_exc"] = exc
     finally:
         engine.set_wall_timeout(None)
-    # end-to-end wall time for this spec (setup + run + teardown), a
-    # side channel like "_wall_s": popped before caching, so payloads
-    # stay bit-deterministic
-    payload["_elapsed_s"] = time.perf_counter() - t0
-    return payload
+    return payload, time.perf_counter() - t0, wall_s
 
 
 def _ledger_summary(payload: dict) -> dict:
@@ -416,10 +403,10 @@ class SweepExecutor:
                        unique=len(indexes), cached=len(indexes) - len(pending),
                        pending=len(pending), jobs=self.jobs)
             t_sweep = time.perf_counter()
-            for done, (spec, payload) in enumerate(
+            for done, (spec, (payload, elapsed, wall)) in enumerate(
                     self._iter_execute(pending), start=1):
-                payload = self._complete(spec, payload, errors, done,
-                                         len(pending))
+                self._complete(spec, payload, elapsed, wall, errors, done,
+                               len(pending))
                 yield indexes[spec.digest], self._merged(payload)
                 del payload  # hold none while the next spec runs
             finish = {"executed": len(pending) - len(errors),
@@ -440,10 +427,10 @@ class SweepExecutor:
                 self.metrics.merge(m)
         return payload
 
-    def _complete(self, spec: RunSpec, payload: dict, errors: List[dict],
-                  pos: int, total: int) -> dict:
+    def _complete(self, spec: RunSpec, payload: dict, elapsed: float,
+                  wall: float, errors: List[dict], pos: int,
+                  total: int) -> None:
         """Post-execution bookkeeping for one simulated spec."""
-        elapsed = payload.pop("_elapsed_s", 0.0)
         tag = f"[{pos}/{total}]"
         if is_error_payload(payload):
             errors.append(payload)
@@ -458,7 +445,6 @@ class SweepExecutor:
         else:
             self.sweep.executed += 1
             self.sweep.wall_s += elapsed
-            wall = payload.pop("_wall_s", None)
             if wall:
                 # aggregate real time (and the event count it bought)
                 # out-of-band: events/sec then reflects only specs
@@ -476,7 +462,6 @@ class SweepExecutor:
                        **summary)
             self._progress(f"{tag} done {spec.describe()} "
                            f"({elapsed:.2f}s)")
-        return payload
 
     def derive(self, specs: Sequence[RunSpec], fn: Callable[[dict], Any]
                ) -> List[Any]:
@@ -547,8 +532,8 @@ class SweepExecutor:
         return payload
 
     def _iter_execute(self, pending: List[RunSpec]
-                      ) -> Iterator[Tuple[RunSpec, dict]]:
-        """Yield ``(spec, payload)`` pairs in input order as they finish.
+                      ) -> Iterator[Tuple[RunSpec, Tuple[dict, float, float]]]:
+        """Yield ``(spec, _safe_execute(spec))`` in input order as they finish.
 
         Serial execution emits ``run_started`` just in time; the pool
         path announces the whole batch up front (workers run remotely)

@@ -25,9 +25,9 @@ from repro.core.engine import SimulationError
 from repro.core.metrics import MetricsRegistry
 from repro.faults import (FaultPlane, FaultSpec, LinkFailure, _SALT_DROP,
                           _roll)
-from repro.microbench.common import metrics_sink
 from repro.microbench.latency import measure_latency, pingpong_fn
 from repro.mpi.world import MPIWorld
+from repro.obs.collector import collect
 from repro.runtime import (RunSpec, SpecExecutionError, SweepError,
                            SweepExecutor, is_error_payload)
 from repro.runtime.cache import ResultCache
@@ -46,12 +46,11 @@ def counters(reg: MetricsRegistry) -> dict:
 
 def lossy_lat(network: str, rate: float, seed: int = 7, iters: int = 40):
     """(latency at 4B, counters) for one lossy pingpong run."""
-    reg = MetricsRegistry()
     faults = {"drop_rate": rate, "seed": seed} if rate else None
-    with metrics_sink(reg):
+    with collect() as col:
         series = measure_latency(network, sizes=(4,), iters=iters,
                                  faults=faults)
-    return series.at(4), counters(reg)
+    return series.at(4), counters(col.metrics)
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +184,12 @@ class TestReliability:
     def test_corrupt_dup_stall_ack_mechanisms(self):
         """One Myrinet run exercising every non-drop mechanism at once;
         GM's host-level acks are counted for each delivered packet."""
-        reg = MetricsRegistry()
-        with metrics_sink(reg):
+        with collect() as col:
             measure_latency("myrinet", sizes=(64,), iters=30,
                             faults={"corrupt_rate": 0.05, "dup_rate": 0.1,
                                     "stall_period_us": 40.0,
                                     "stall_duration_us": 4.0, "seed": 1})
-        c = counters(reg)
+        c = counters(col.metrics)
         assert c["net.retx.corrupts"] > 0
         assert c["net.retx.dups"] > 0
         assert c["net.retx.stalls"] > 0
@@ -200,12 +198,11 @@ class TestReliability:
         assert c["net.bytes.ack"] == 16 * c["net.retx.acks"]
 
     def test_link_flap_drops_inflight_packets(self):
-        reg = MetricsRegistry()
-        with metrics_sink(reg):
+        with collect() as col:
             measure_latency("quadrics", sizes=(4,), iters=50,
                             faults={"flap_period_us": 37.0,
                                     "flap_duration_us": 5.0, "seed": 1})
-        c = counters(reg)
+        c = counters(col.metrics)
         assert c["net.retx.flap_drops"] > 0
         assert c["net.retransmits"] == c["net.retx.flap_drops"]
 

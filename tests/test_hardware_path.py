@@ -201,26 +201,28 @@ def test_property_schedule_is_split_phase_walk(bws, ovs, chunk, msgs):
             (b.next_free, b.busy_time, b.transfers, b.bytes_moved)
 
 
-def _untimed(payload):
-    """A payload minus its host wall-clock counters (not results)."""
-    metrics = dict(payload["metrics"])
-    metrics["counters"] = {k: v for k, v in metrics["counters"].items()
-                           if not k.endswith("wall_s")}
-    return dict(payload, metrics=metrics)
+def _simulate(spec, tracer=None):
+    """An app payload with the metrics its world reported to a collector
+    (the collector keeps the host wall time, which is not a result)."""
+    from repro.apps.runner import simulate_app_spec
+    from repro.obs.collector import collect
+
+    with collect() as col:
+        payload = simulate_app_spec(spec, tracer=tracer)
+    return dict(payload, metrics=col.metrics.to_dict())
 
 
 @pytest.mark.parametrize("network", ["infiniband", "myrinet", "quadrics"])
 def test_hw_tracing_does_not_change_results(network):
     """Tracing is off the result path: the traced walk must reproduce the
     hot walk's arithmetic to the last ulp (Myrinet's IS.S once differed)."""
-    from repro.apps.runner import simulate_app_spec
     from repro.core.tracing import Tracer
     from repro.runtime import RunSpec
 
     spec = RunSpec.app("is", "S", network, 4, record=True)
-    plain = simulate_app_spec(spec)
+    plain = _simulate(spec)
     tracer = Tracer().enable(["hw"])
-    traced = simulate_app_spec(spec, tracer=tracer)
+    traced = _simulate(spec, tracer=tracer)
     assert any(r.category == "hw" for r in tracer.records)
     assert traced["recorder"] == plain["recorder"]
-    assert _untimed(traced) == _untimed(plain)
+    assert traced == plain

@@ -52,8 +52,9 @@ ALLOWED = {
         "run_app describes its run as a RunSpec so the run cache serves it",
     ("repro.apps.runner", "repro.profiling.recorder"):
         "an app result carries the Recorder its tables are computed from",
-    ("repro.mpi.world", "repro.obs.timeline"):
-        "a world starts the sim-time timeline sampler its spec asks for",
+    ("repro.mpi.world", "repro.obs.collector"):
+        "a world reports its metrics, wall time and timeline to its spec's "
+        "collector",
     ("repro.mpi.world", "repro.profiling.recorder"):
         "a world records every MPI call into its Recorder",
 }

@@ -9,12 +9,14 @@ Locks down the contracts the instrumentation rests on:
 - the critical-path decomposition of a single pt2pt message telescopes
   to the simulated end-to-end latency (within 1%, in fact exactly);
 - metrics ride inside cached RunSpec payloads and aggregate across a
-  sweep, cache hits included;
+  sweep, cache hits included; every bench's worlds reach its payload,
+  however the bench builds them;
 - the Recorder stamps transfers with simulation time.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 
@@ -22,6 +24,7 @@ import pytest
 
 from repro.core.metrics import MetricsRegistry
 from repro.core.tracing import TRACE_CATEGORIES, Tracer
+from repro.microbench.common import bench_registry
 from repro.profiling.trace_export import (category_summary, chrome_trace,
                                           critical_path, traced_app,
                                           traced_pingpong, write_chrome_trace)
@@ -281,6 +284,56 @@ def test_runtime_aggregates_metrics_across_sweeps():
         runtime.reset()
 
 
+def _smallest_spec(bench):
+    """The bench's spec at its smallest size (or node count)."""
+    params = inspect.signature(bench_registry()[bench]).parameters
+    kwargs = {}
+    if "sizes" in params:
+        kwargs["sizes"] = (min(params["sizes"].default),)
+    if "node_counts" in params:
+        kwargs["node_counts"] = (min(params["node_counts"].default),)
+    if "reuse_pct" in params:
+        kwargs["reuse_pct"] = 100
+    return RunSpec.microbench(bench, "infiniband", **kwargs)
+
+
+@pytest.mark.parametrize("bench", sorted(bench_registry()))
+def test_every_bench_reports_its_worlds(bench, tmp_path):
+    """However a bench builds its worlds (``run_pair`` or its own
+    ``MPIWorld``), they report to the spec's collector: the payload
+    carries their metrics and the ledger's ``run_finished`` their
+    event count."""
+    from repro.obs.ledger import RunLedger, read_ledger
+    from repro.runtime import SweepExecutor
+
+    path = tmp_path / "runs.jsonl"
+    with RunLedger(path) as ledger:
+        payload = SweepExecutor(ledger=ledger).run_one(_smallest_spec(bench))
+    events = payload["metrics"]["counters"]["engine.events_total"]
+    assert events > 0
+    (finished,) = [r for r in read_ledger(path)
+                   if r["event"] == "run_finished"]
+    assert finished["events"] == events
+
+
+def test_cli_metrics_engine_line_for_directly_built_worlds(capsys):
+    """Fig. 13 builds its worlds itself; ``--metrics`` still shows what
+    its engines did, and the ``[cache]`` trailer (with its wall time)
+    goes to stderr."""
+    from repro import runtime
+    from repro.__main__ import main
+
+    try:
+        assert main(["fig13", "--no-cache", "--metrics"]) == 0
+    finally:
+        runtime.reset()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert any(line.startswith("engine:") for line in lines)
+    assert not any(line.startswith("[cache]") for line in lines)
+    assert captured.err.startswith("[cache]")
+
+
 # ---------------------------------------------------------------------------
 # Recorder transfer timestamps (regression: they were all 0.0)
 # ---------------------------------------------------------------------------
@@ -311,10 +364,10 @@ def test_cli_trace_pingpong(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["traceEvents"]
-    text = capsys.readouterr().out
-    assert "ui.perfetto.dev" in text
-    assert "critical path" in text
-    assert "[cache]" in text
+    captured = capsys.readouterr()
+    assert "ui.perfetto.dev" in captured.out
+    assert "critical path" in captured.out
+    assert "[cache]" in captured.err
 
 
 def test_cli_trace_fig_target_spans_four_layers(tmp_path, capsys):

@@ -12,7 +12,7 @@ Locks down the contracts of the PR-7 observability layer:
 - the run ledger emits schema-valid JSONL lifecycle events, including
   ``cache_hit`` on re-runs, and ``validate_ledger`` catches corruption;
 - sweep wall-clock aggregates into :class:`SweepStats` while the
-  ``_elapsed_s``/``_wall_s`` side channels never reach cached payloads;
+  wall times never reach cached payloads;
 - ``repro diff`` renders counter deltas, critical-path deltas and a
   timeline overlay;
 - ``stats=True`` benches report per-repetition statistics consistent
@@ -25,7 +25,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -33,7 +33,7 @@ from repro import runtime
 from repro.__main__ import main
 from repro.obs.ledger import (RunLedger, read_ledger, summarize_ledger,
                               validate_ledger)
-from repro.obs.timeline import capture
+from repro.obs.collector import collect
 from repro.runtime.spec import RunSpec
 
 
@@ -109,9 +109,9 @@ def test_timeline_channels_capture_live_state():
 def test_timeline_decimation_keeps_uniform_grid():
     from repro.microbench.latency import measure_latency
 
-    with capture(interval_us=0.5, max_samples=64) as cfg:
+    with collect(interval_us=0.5, max_samples=64) as col:
         measure_latency("myrinet", sizes=(16384,), iters=40)
-    (tl,) = cfg.collected
+    (tl,) = col.timelines
     assert tl["samples"] <= 64
     times = tl["t"]
     assert len(times) > 8
@@ -258,12 +258,16 @@ def test_cli_diff_mpi_option_refs():
 
 
 def test_cli_bench_stats_and_timeline():
-    rc, out = _run_cli(["bench", "latency", "--network", "myrinet",
-                        "--stats", "--timeline", "20"])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = _run_cli(["bench", "latency", "--network", "myrinet",
+                            "--stats", "--timeline", "20"])
     assert rc == 0
     assert "repetition statistics" in out
     assert "timeline myrinet" in out
-    assert "| sweep:" in out
+    # the trailer carries the sweep's wall time, so it stays off stdout
+    assert "| sweep:" in err.getvalue()
+    assert "| sweep:" not in out
 
 
 # ---------------------------------------------------------------------------
