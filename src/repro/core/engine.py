@@ -290,7 +290,8 @@ class Simulator:
         self._npending: int = 0
         self._peak_pending: int = 0
         self._running = False
-        #: user-attachable context (the MPIWorld stores itself here)
+        #: per-run state other layers attach (pipeline paths share
+        #: their span memos here)
         self.context: dict = {}
         #: per-run trace collector; off by default — hot paths guard
         #: every emission with a single cached ``tracer.enabled`` check

@@ -141,6 +141,14 @@ class FifoServer:
 
     Because the server state is just a timestamp, contention costs O(1)
     per transfer — no server process, no per-byte events.
+
+    ``transfers`` and ``bytes_moved`` count this server's own
+    :meth:`transfer` calls plus the chunks that pipeline walks reserved
+    on it.  A walk tallies its chunks once per span, in a shared
+    ``[chunks, bytes]`` cell, instead of bumping two counters on every
+    server per chunk; :meth:`count_span` registers such a cell with the
+    number of stages this server holds in the span, and the two
+    properties read the cells back exactly.
     """
 
     def __init__(
@@ -159,8 +167,31 @@ class FifoServer:
         self._ev_name = name + ".xfer"
         self.next_free: float = 0.0
         self.busy_time: float = 0.0
-        self.transfers: int = 0
-        self.bytes_moved: int = 0
+        self._transfers = 0
+        self._bytes = 0
+        #: (cell, stages) pairs: span tallies this server reads back
+        self._cells: List[tuple] = []
+
+    def count_span(self, cell: list, stages: int) -> None:
+        """Read ``cell = [chunks, bytes]`` back as ``stages`` reservations
+        per chunk (a span may hold one server at several stages)."""
+        self._cells.append((cell, stages))
+
+    @property
+    def transfers(self) -> int:
+        """Reservations made on this server so far."""
+        n = self._transfers
+        for cell, stages in self._cells:
+            n += cell[0] * stages
+        return n
+
+    @property
+    def bytes_moved(self) -> int:
+        """Bytes this server has served so far (per reservation)."""
+        n = self._bytes
+        for cell, stages in self._cells:
+            n += cell[1] * stages
+        return n
 
     def occupancy_us(self, nbytes: float, overhead: Optional[float] = None) -> float:
         """Service time for a transfer of ``nbytes``."""
@@ -177,8 +208,8 @@ class FifoServer:
         done = start + dur
         self.next_free = done
         self.busy_time += dur
-        self.transfers += 1
-        self.bytes_moved += int(nbytes)
+        self._transfers += 1
+        self._bytes += int(nbytes)
         ev = Event(self.sim, self._ev_name)
         ev.succeed(delay=done - now)
         return ev

@@ -12,7 +12,7 @@ invisible.  This module adds both halves:
   so every fault configuration is a distinct content-addressed cache
   key;
 - a :class:`FaultPlane` — the per-fabric runtime hooked into
-  :meth:`~repro.networks.base.Fabric.send_packet` and
+  :meth:`~repro.networks.base.Fabric.post_packet` and
   :meth:`~repro.networks.base.NetPort.deliver` that rolls per-packet
   fault decisions and runs the channel's declared reliability protocol
   (``ChannelCaps.reliability``): ``'rc'`` ack/retransmit with
@@ -199,7 +199,7 @@ class FaultPlane:
     def on_send(self, pkt) -> None:
         """Tag an original transmission with its fault identity.
 
-        Retransmissions re-enter ``send_packet`` carrying their ``_fid``
+        Retransmissions re-enter ``post_packet`` carrying their ``_fid``
         and incremented ``_attempt``, so the tag survives the round trip
         and every attempt rolls an independent decision.
         """
@@ -284,7 +284,7 @@ class FaultPlane:
         metrics.inc("net.retx.backoff_us", delay)
         self._trace("retx", pkt, attempt, cause=cause, delay_us=delay)
         ev = self.sim.event("fault.retx")
-        ev.add_callback(lambda _e: self.fabric.send_packet(pkt))
+        ev.add_callback(lambda _e: self.fabric.post_packet(pkt))
         ev.succeed(delay=delay)
 
     def _backoff(self, attempt: int) -> float:

@@ -44,6 +44,9 @@ __all__ = ["Stage", "PathSegment", "PipelinePath", "chunk_sizes"]
 #: interleaves at this grain.
 DEFAULT_CHUNK = 16 * 1024
 
+#: ``Simulator.context`` key of the span memos shared by a run's paths
+_SPAN_MEMOS = "hardware.path.spans"
+
 
 def chunk_sizes(nbytes: int, chunk: int) -> List[int]:
     """Split ``nbytes`` into full chunks plus a remainder (never empty)."""
@@ -148,18 +151,47 @@ class PipelinePath:
         self.chunk_bytes = chunk_bytes
         self.name = name
         self.split_stage = split_stage
-        self.messages = 0
-        self.bytes_moved = 0
-        #: memoized _flat sub-slices — the destination-phase walk asks
-        #: for the same (s_from, s_to) span once per chunk
+        #: the injector's split, resolved once: stages [0, src_end) are
+        #: reserved at injection, [src_end, nstages) as each chunk arrives
+        self.nstages = len(self.stages)
+        self.src_end = self.nstages if split_stage is None else split_stage + 1
+        #: servers of the source-side stages, for the injector's
+        #: horizon scan (the furthest reservation among them)
+        self.src_servers = [s.server for s in self.stages[:self.src_end]
+                            if s.server is not None]
+        #: (s_from, s_to) -> span memo (see _span) — the
+        #: destination-phase walk asks for the same span once per chunk
         self._spans: dict = {}
-        #: distinct shared servers on the source-side phase, for the
-        #: injector's horizon scan (see _SendJob.horizon_time)
-        end = len(self.stages) if split_stage is None else split_stage + 1
-        self._src_servers = [s.server for s in self.stages[:end]
-                             if s.server is not None]
 
-    def walk_range(self, s_from: int, s_to: int, entries: List[list],
+    def _span(self, s_from: int, s_to: int) -> tuple:
+        """The memo of stages ``[s_from, s_to)``: their flattened
+        constants and one ``[chunks, bytes]`` tally cell, which each of
+        the span's servers reads back (see
+        :class:`~repro.core.resources.FifoServer`).
+
+        Memos are shared by content across the paths of one simulation
+        (``sim.context``): the source phase of every path out of a node
+        is one span, and so is the destination phase of every path
+        into a node behind one switch port.  A cell per path would cost
+        a 64-node all-to-all about 4 MB.
+        """
+        flat = tuple(self._flat[s_from:s_to])
+        shared = self.sim.context.setdefault(_SPAN_MEMOS, {})
+        memo = shared.get(flat)
+        if memo is None:
+            cell = [0, 0]
+            holds: dict = {}
+            for stage in flat:
+                srv = stage[0]
+                if srv is not None:
+                    holds[srv] = holds.get(srv, 0) + 1
+            for srv, stages in holds.items():
+                srv.count_span(cell, stages)
+            memo = shared[flat] = (flat, cell)
+        self._spans[(s_from, s_to)] = memo
+        return memo
+
+    def walk_range(self, s_from: int, s_to: int, entries: Sequence[list],
                    local_stage: Optional[int] = None,
                    _untraced: bool = False) -> float:
         """Walk chunk states through stages ``[s_from, s_to)`` in place.
@@ -176,18 +208,28 @@ class PipelinePath:
         every message in the simulation, so the stage arithmetic is
         open-coded with locals, and the common destination-phase walk
         has no local stage to watch and gets its own loop without the
-        per-stage index bookkeeping.  ``_untraced`` is the traced
+        per-stage index bookkeeping.  Per chunk and stage the loops
+        write only the server's ``next_free`` and ``busy_time`` (a float
+        sum whose order the metrics keep); chunks and bytes go to the
+        span's tally cell once per walk.  ``_untraced`` is the traced
         walk's private way in, past the tracing check.
         """
         tracer = self.sim.tracer
         if tracer.wants_hw and not _untraced:
             return self._walk_range_traced(s_from, s_to, entries, local_stage, tracer)
-        span = self._spans.get((s_from, s_to))
-        if span is None:
-            span = self._spans[(s_from, s_to)] = tuple(self._flat[s_from:s_to])
+        memo = self._spans.get((s_from, s_to))
+        if memo is None:
+            memo = self._span(s_from, s_to)
+        span, cell = memo
+        cell[0] += len(entries)
+        nbytes = 0
         if local_stage is None:
             for entry in entries:
                 head, tail, csize, first = entry
+                nbytes += csize
+                # the same product as csize * inv_bw, on the float fast
+                # path of every stage's multiply
+                fsize = float(csize)
                 for srv, ov, extra, lat, cut, trail, inv_bw in span:
                     if srv is None:
                         head += lat
@@ -195,8 +237,10 @@ class PipelinePath:
                         continue
                     if first:
                         ov += extra
-                    ser = csize * inv_bw
+                    ser = fsize * inv_bw
                     nf = srv.next_free
+                    # ``ready``: service start plus overhead, when the
+                    # head may leave
                     if cut:
                         # the tail leaves no earlier than the stage's own
                         # rate allows and no earlier than bytes arrive, but
@@ -204,26 +248,27 @@ class PipelinePath:
                         # time: bytes trickling in slowly leave capacity to
                         # other flows, so both directions of a bus or SRAM
                         # run at their true aggregate rate
-                        start = head if head > nf else nf
-                        occupied = start + ov + ser
+                        ready = (head if head > nf else nf) + ov
+                        occupied = ready + ser
                         t2 = tail + ov
-                        head = start + ov + lat
+                        head = ready + lat
                         tail = (occupied if occupied > t2 else t2) + lat
                     else:  # store-and-forward: wait for the full chunk
-                        start = tail if tail > nf else nf
-                        occupied = start + ov + ser
-                        head = start + ov + lat
+                        ready = (tail if tail > nf else nf) + ov
+                        occupied = ready + ser
+                        head = ready + lat
                         tail = occupied + lat
                     srv.next_free = occupied + trail
                     srv.busy_time += ov + ser + trail
-                    srv.transfers += 1
-                    srv.bytes_moved += csize
                 entry[0] = head
                 entry[1] = tail
+            cell[1] += nbytes
             return 0.0
         local_max = 0.0
         for entry in entries:
             head, tail, csize, first = entry
+            nbytes += csize
+            fsize = float(csize)
             s = s_from
             for srv, ov, extra, lat, cut, trail, inv_bw in span:
                 if srv is None:
@@ -232,28 +277,27 @@ class PipelinePath:
                 else:
                     if first:
                         ov += extra
-                    ser = csize * inv_bw
+                    ser = fsize * inv_bw
                     nf = srv.next_free
                     if cut:
-                        start = head if head > nf else nf
-                        occupied = start + ov + ser
+                        ready = (head if head > nf else nf) + ov
+                        occupied = ready + ser
                         t2 = tail + ov
-                        head = start + ov + lat
+                        head = ready + lat
                         tail = (occupied if occupied > t2 else t2) + lat
                     else:  # store-and-forward: wait for the full chunk
-                        start = tail if tail > nf else nf
-                        occupied = start + ov + ser
-                        head = start + ov + lat
+                        ready = (tail if tail > nf else nf) + ov
+                        occupied = ready + ser
+                        head = ready + lat
                         tail = occupied + lat
                     srv.next_free = occupied + trail
                     srv.busy_time += ov + ser + trail
-                    srv.transfers += 1
-                    srv.bytes_moved += csize
                 if s == local_stage and tail > local_max:
                     local_max = tail
                 s += 1
             entry[0] = head
             entry[1] = tail
+        cell[1] += nbytes
         return local_max
 
     def _walk_range_traced(self, s_from: int, s_to: int, entries: List[list],
@@ -304,9 +348,7 @@ class PipelinePath:
         t0 = self.sim.now if start is None else start
         entries = [[t0, t0, csize, charge_first_extra and i == 0]
                    for i, csize in enumerate(chunk_sizes(nbytes, self.chunk_bytes))]
-        self.messages += 1
-        self.bytes_moved += nbytes
-        local = self.walk_range(0, len(self.stages), entries, local_stage)
+        local = self.walk_range(0, self.nstages, entries, local_stage)
         delivered = max(t0, max(e[1] for e in entries))
         if local_stage is None:
             return delivered, delivered

@@ -117,7 +117,7 @@ class MvapichChannel(Channel):
             self._conn_pending[peer] = pending
             req = Packet(kind="ib.conn_req", src_rank=core.rank, dst_rank=peer,
                          nbytes=64, meta={})
-            self.fabric.send_packet(req)
+            self.fabric.post_packet(req)
         # keep the progress engine running while the handshake is in
         # flight — the reply (and any crossing request) arrives through
         # our own inbox
@@ -152,7 +152,7 @@ class MvapichChannel(Channel):
             meta={"tag": req.tag, "ctx": req.ctx, "mseq": seq},
             payload=payload_of(req.buf),
         )
-        self.fabric.send_packet(pkt)
+        self.fabric.post_packet(pkt)
         req.complete()  # buffered: user buffer reusable immediately
 
     def send_rts(self, req: Request, seq: int):
@@ -166,7 +166,7 @@ class MvapichChannel(Channel):
             meta["sbuf"] = req.buf  # registered source for the remote get
         rts = Packet(kind="ib.rts", src_rank=self.core.rank, dst_rank=req.peer,
                      nbytes=0, meta=meta)
-        self.fabric.send_packet(rts)
+        self.fabric.post_packet(rts)
 
     def send_cts(self, req: Request, env: Envelope):
         meta = {"sreq": env.meta["sreq"], "rreq": req, "tag": env.tag,
@@ -175,7 +175,7 @@ class MvapichChannel(Channel):
             yield self.core.cpu.comm(self._reg_cost(req.buf))
         cts = Packet(kind="ib.cts", src_rank=self.core.rank, dst_rank=env.src,
                      nbytes=0, meta=meta)
-        self.fabric.send_packet(cts)
+        self.fabric.post_packet(cts)
 
     def rndv_data(self, src: int, meta: dict):
         sreq: Request = meta["sreq"]
@@ -200,7 +200,7 @@ class MvapichChannel(Channel):
     def send_read_fin(self, env: Envelope) -> None:
         fin = Packet(kind="ib.rfin", src_rank=self.core.rank, dst_rank=env.src,
                      nbytes=0, meta={"sreq": env.meta["sreq"]})
-        self.fabric.send_packet(fin)
+        self.fabric.post_packet(fin)
 
     def send_fragment(self, sreq: Request, rreq: Request, offset: int,
                       nbytes: int, total: int, last: bool, frag):
@@ -261,7 +261,7 @@ class MvapichChannel(Channel):
             self.vapi.connect(pkt.src_rank)
             rep = Packet(kind="ib.conn_rep", src_rank=core.rank,
                          dst_rank=pkt.src_rank, nbytes=64, meta={})
-            self.fabric.send_packet(rep)
+            self.fabric.post_packet(rep)
         elif pkt.kind == "ib.conn_rep":
             yield cpu.comm(self.O_FIN)
             pending = self._conn_pending.pop(pkt.src_rank, None)
@@ -330,7 +330,7 @@ class MvapichDevice(Ch3Device):
         yield self.cpu.comm(0.45)  # descriptor + doorbell, no copy path
         pkt = Packet(kind="ib.slot", src_rank=self.rank, dst_rank=dst,
                      nbytes=max(nbytes, 8), meta={"slot": slot}, payload=payload)
-        self.fabric.send_packet(pkt)
+        self.fabric.post_packet(pkt)
         self._record_transfer(dst, max(nbytes, 8))
 
     def rdma_wait_signal(self, slot):

@@ -3,11 +3,14 @@
 A :class:`Fabric` owns the adapters, switch and the cached
 :class:`~repro.hardware.path.PipelinePath` between every (src, dst) node
 pair.  MPI protocol engines move data by handing :class:`Packet` objects
-to :meth:`Fabric.send_packet`; the fabric reserves pipeline capacity,
-fires a *local completion* event when the data has left the source host
-(the moment a sender-side CQ entry would appear) and delivers the packet
-to the destination :class:`NetPort` when the last chunk lands in
-destination host memory.
+to the fabric; it reserves pipeline capacity and delivers the packet to
+the destination :class:`NetPort` when the last chunk lands in
+destination host memory.  A *local completion* event, fired when the
+data has left the source host (the moment a sender-side CQ entry would
+appear), is made only on request: :meth:`Fabric.send_packet` returns
+one, while :meth:`Fabric.post_packet` sends a packet that nobody waits
+on locally (control packets, eager-ring writes) and schedules no such
+entry.
 
 Delivery has two modes, mirroring where message processing happens:
 
@@ -24,6 +27,7 @@ Delivery has two modes, mirroring where message processing happens:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.engine import Event, Simulator
@@ -248,17 +252,30 @@ class Fabric:
         """Move ``pkt`` to its destination port.
 
         Returns the *local completion* event (data out of source host).
+        A caller that never waits on it should use :meth:`post_packet`.
+        """
+        local_ev = Event(self.sim, self._local_done_name)
+        self.post_packet(pkt, extra_wire_bytes, local_ev)
+        return local_ev
+
+    def post_packet(self, pkt: Packet, extra_wire_bytes: int = 0,
+                    local_ev: Optional[Event] = None) -> None:
+        """Move ``pkt`` to its destination port, fire and forget.
+
         Delivery to the destination port is scheduled internally; all
         sends from one node go through that node's injector, which
         preserves FIFO order (one DMA engine) and paces capacity
-        reservations to the horizon.
+        reservations to the horizon.  ``local_ev``, when given, fires at
+        local completion; without it no engine entry marks that moment.
         """
         self._pkt_seq += 1
         pkt.seq = self._pkt_seq
         if self.fault_plane is not None:
             self.fault_plane.on_send(pkt)
-        src_node = self.node_of(pkt.src_rank)
-        dst_node = self.node_of(pkt.dst_rank)
+        ports = self.ports
+        port = ports[pkt.dst_rank]
+        src_node = ports[pkt.src_rank].node_id
+        dst_node = port.node_id
         wire_bytes = pkt.nbytes + self.header_bytes + extra_wire_bytes
         path, local_stage = self._select_path(pkt, wire_bytes, src_node, dst_node)
 
@@ -268,20 +285,18 @@ class Fabric:
         self._payload_bytes += pkt.nbytes
         self._wire_bytes += wire_bytes
 
-        local_ev = Event(self.sim, self._local_done_name)
-        port = self.ports[pkt.dst_rank]
-        job = _SendJob(pkt, path, wire_bytes, local_stage, local_ev, port)
-        job.t_submit = self.sim.now
-        self._injector(src_node).submit(job)
-        return local_ev
-
-    def _injector(self, src_node: int) -> "_Injector":
+        if local_stage is not None and local_stage >= path.src_end:
+            local_stage = None  # not a source-side stage: nothing to watch
+        job = _SendJob(pkt, path, wire_bytes, local_stage, local_ev, port,
+                       self.sim.now)
         inj = self._injectors.get(src_node)
         if inj is None:
-            inj = _Injector(self.sim, self.HORIZON_US, self.GROUP_BYTES,
-                            name=f"{self.kind}.inj{src_node}")
-            self._injectors[src_node] = inj
-        return inj
+            inj = self._injectors[src_node] = _Injector(
+                self.sim, self.HORIZON_US, self.GROUP_BYTES,
+                name=f"{self.kind}.inj{src_node}")
+        inj._queue.append(job)
+        if not inj._sleeping:
+            inj._pump()
 
     def flush_metrics(self) -> None:
         """Publish the batched per-packet counters to ``sim.metrics``."""
@@ -336,10 +351,12 @@ class _SendJob:
                  "pending_groups", "injected_all", "t_submit")
 
     def __init__(self, pkt: Packet, path: PipelinePath, wire_bytes: int,
-                 local_stage, local_ev: Event, port: NetPort) -> None:
+                 local_stage: Optional[int], local_ev: Optional[Event],
+                 port: NetPort, t_submit: float) -> None:
         self.pkt = pkt
         self.path = path
         self.wire_bytes = wire_bytes
+        #: source-side stage whose tail departure is local completion
         self.local_stage = local_stage
         self.local_ev = local_ev
         self.port = port
@@ -348,21 +365,7 @@ class _SendJob:
         self.delivered = 0.0
         self.pending_groups = 0
         self.injected_all = False
-        self.t_submit = 0.0
-
-    @property
-    def src_phase_end(self) -> int:
-        split = self.path.split_stage
-        return len(self.path.stages) if split is None else split + 1
-
-    def horizon_time(self) -> float:
-        """Furthest reservation on this job's *source-side* stages."""
-        t = 0.0
-        for srv in self.path._src_servers:
-            nf = srv.next_free
-            if nf > t:
-                t = nf
-        return t
+        self.t_submit = t_submit
 
 
 class _Injector:
@@ -375,6 +378,8 @@ class _Injector:
     by a deferred walk at the moment the data reaches them, so two nodes
     streaming at each other interleave on shared resources (buses, NIC
     SRAM) instead of queueing behind each other's future reservations.
+    :meth:`Fabric.post_packet` appends to ``_queue`` and pumps unless
+    the injector sleeps until its horizon clears.
     """
 
     def __init__(self, sim: Simulator, horizon_us: float, group_bytes: int,
@@ -386,26 +391,30 @@ class _Injector:
         self._queue: deque = deque()
         self._sleeping = False
 
-    def submit(self, job: _SendJob) -> None:
-        self._queue.append(job)
-        if not self._sleeping:
-            self._pump()
-
     def _pump(self) -> None:
         self._sleeping = False
-        while self._queue:
-            job = self._queue[0]
-            wake_at = job.horizon_time() - self.horizon_us
-            if wake_at > self.sim.now:
+        queue = self._queue
+        sim = self.sim
+        while queue:
+            job = queue[0]
+            # the furthest reservation on the job's source-side stages
+            horizon = 0.0
+            for srv in job.path.src_servers:
+                nf = srv.next_free
+                if nf > horizon:
+                    horizon = nf
+            wake_at = horizon - self.horizon_us
+            if wake_at > sim.now:
                 self._sleep_until(wake_at)
                 return
             self._advance(job)
             if job.offset >= job.wire_bytes:
-                self._queue.popleft()
+                queue.popleft()
                 job.injected_all = True
                 # data has left the host once every group cleared the
                 # source-side stages; fire the local completion now.
-                job.local_ev.succeed(delay=max(0.0, job.local_done - self.sim.now))
+                if job.local_ev is not None:
+                    job.local_ev.succeed(delay=max(0.0, job.local_done - sim.now))
                 if job.pending_groups == 0:
                     self._deliver(job)
 
@@ -417,54 +426,53 @@ class _Injector:
     def _advance(self, job: _SendJob) -> None:
         """Reserve the next group of the message (source phase)."""
         first = job.offset == 0
-        group = min(self.group_bytes, job.wire_bytes - job.offset)
+        group = job.wire_bytes - job.offset
+        if group > self.group_bytes:
+            group = self.group_bytes
         path = job.path
         now = self.sim.now
-        entries = [
-            [now, now, csize, first and i == 0]
-            for i, csize in enumerate(chunk_sizes(group, path.chunk_bytes))
-        ]
-        phase_end = job.src_phase_end
-        nstages = len(path.stages)
-        local_stage = job.local_stage
-        local = path.walk_range(0, phase_end, entries,
-                                local_stage if (local_stage is not None and
-                                                local_stage < phase_end) else None)
+        chunk = path.chunk_bytes
+        if group <= chunk:  # one chunk: most packets
+            entries = [[now, now, group, first]]
+        else:
+            entries = [
+                [now, now, csize, first and i == 0]
+                for i, csize in enumerate(chunk_sizes(group, chunk))
+            ]
+        phase_end = path.src_end
+        local = path.walk_range(0, phase_end, entries, job.local_stage)
         if local > job.local_done:
             job.local_done = local
-        if first:
-            path.messages += 1
-        path.bytes_moved += group
         job.offset += group if group > 1 else 1
+        nstages = path.nstages
         if phase_end >= nstages:
-            tail = 0.0
+            # no destination phase; the job is still being injected, so
+            # only its delivery time can move here
             for e in entries:
-                if e[1] > tail:
-                    tail = e[1]
-            self._group_done(job, tail)
+                if e[1] > job.delivered:
+                    job.delivered = e[1]
             return
         # Destination phase: reserve each chunk's dst-side capacity at
         # that chunk's own arrival time.  Reserving any earlier would
         # plant future reservations on shared servers (scalar next_free
         # cannot represent the idle gap before them), spuriously
         # blocking cross-traffic that physically interleaves.
+        walk = path.walk_range
+        deliver = self._deliver
         schedule_at = self.sim.schedule_at
+        job.pending_groups += len(entries)
         for entry in entries:
-            job.pending_groups += 1
 
-            def _run_dst_phase(job=job, entry=entry, phase_end=phase_end):
-                job.path.walk_range(phase_end, nstages, [entry])
+            def _run_dst_phase(entry=entry):
+                walk(phase_end, nstages, (entry,))
                 job.pending_groups -= 1
-                self._group_done(job, entry[1])
+                if entry[1] > job.delivered:
+                    job.delivered = entry[1]
+                if job.injected_all and job.pending_groups == 0:
+                    deliver(job)
 
             delay = entry[0] - now
             schedule_at(delay if delay > 0.0 else 0.0, _run_dst_phase)
-
-    def _group_done(self, job: _SendJob, delivered: float) -> None:
-        if delivered > job.delivered:
-            job.delivered = delivered
-        if job.injected_all and job.pending_groups == 0:
-            self._deliver(job)
 
     def _deliver(self, job: _SendJob) -> None:
         if job.port is None:
@@ -485,4 +493,4 @@ class _Injector:
             )
         delay = job.delivered - self.sim.now
         self.sim.schedule_at(delay if delay > 0.0 else 0.0,
-                             lambda: port.deliver(job.pkt))
+                             partial(port.deliver, job.pkt))

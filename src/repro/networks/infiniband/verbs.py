@@ -10,7 +10,7 @@ Timing model split of responsibilities:
   the MPI layer on the rank's CPU (that is the "host overhead" of
   Fig. 3);
 - the *fabric* cost (bus DMA, HCA engines, wire, switch) is charged by
-  :meth:`repro.networks.base.Fabric.send_packet` through the shared
+  :meth:`repro.networks.base.Fabric.post_packet` through the shared
   pipeline servers;
 - registration cost comes from the HCA's pin-down cache
   (:class:`repro.hardware.memory.PinDownCache`).
@@ -151,7 +151,7 @@ class QueuePair:
                              "reply_to": dev.rank, "done": done,
                              "local_buf": local_buf},
         )
-        dev.fabric.send_packet(req_pkt)
+        dev.fabric.post_packet(req_pkt)
         return done
 
     def rdma_write(
@@ -272,7 +272,7 @@ class VapiDevice:
                 meta={"wr_id": pkt.meta["wr_id"], "done": pkt.meta["done"],
                       "local_buf": pkt.meta["local_buf"]},
             )
-            self.fabric.send_packet(resp)
+            self.fabric.post_packet(resp)
             return None
         if pkt.kind == "ib.read_resp":
             lbuf: Buffer = pkt.meta["local_buf"]

@@ -156,7 +156,7 @@ class TportsPort:
                 meta={"tag": tag, "data_nbytes": buf.nbytes, "payload": payload,
                       "handle": handle, **(meta or {})},
             )
-            self.fabric.send_packet(pkt)
+            self.fabric.post_packet(pkt)
         return handle
 
     def rx(self, src_sel: int, tag_sel: Any, buf: Optional[Buffer]) -> RxHandle:
@@ -264,7 +264,7 @@ class TportsPort:
             meta={"tag": rts.tag, "data_nbytes": rts.nbytes, "rx_handle": handle,
                   "payload": rts.tx_meta.get("payload"), "handle": rts.tx_meta["handle"]},
         )
-        self.fabric.send_packet(cts)
+        self.fabric.post_packet(cts)
 
     def _tx_done(self, handle: TxHandle) -> None:
         self.inflight_tx -= 1

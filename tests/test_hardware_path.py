@@ -184,10 +184,14 @@ def _fresh_paths():
 def test_property_schedule_is_split_phase_walk(bws, ovs, chunk, msgs):
     """`schedule` reserves through the same kernel as the injector's
     split-phase walk (source stages, then destination stages, on the
-    same chunk entries): times and server state agree bit for bit."""
+    same chunk entries): times and server state agree bit for bit, and
+    each server counts every chunk once per stage it holds (the SRAM
+    server holds two) with that chunk's bytes."""
     sim = Simulator()
     whole, whole_srv = _mixed_path(sim, bws, ovs, chunk)
     split, split_srv = _mixed_path(sim, bws, ovs, chunk)
+    chunks = sum(len(chunk_sizes(nbytes, chunk)) for nbytes, _ in msgs)
+    nbytes_total = sum(nbytes for nbytes, _ in msgs)
     for nbytes, t0 in msgs:
         local, delivered = whole.schedule(nbytes, start=t0, local_stage=2)
         entries = [[t0, t0, csize, i == 0]
@@ -196,9 +200,12 @@ def test_property_schedule_is_split_phase_walk(bws, ovs, chunk, msgs):
         split.walk_range(5, len(split.stages), entries)
         assert local == max(t0, src_local)
         assert delivered == max([t0] + [e[1] for e in entries])
-    for a, b in zip(whole_srv, split_srv):
+    for i, (a, b) in enumerate(zip(whole_srv, split_srv)):
         assert (a.next_free, a.busy_time, a.transfers, a.bytes_moved) == \
             (b.next_free, b.busy_time, b.transfers, b.bytes_moved)
+        stages = 2 if i == 2 else 1
+        assert (a.transfers, a.bytes_moved) == \
+            (chunks * stages, nbytes_total * stages)
 
 
 def _simulate(spec, tracer=None):
@@ -226,3 +233,51 @@ def test_hw_tracing_does_not_change_results(network):
     assert any(r.category == "hw" for r in tracer.records)
     assert traced["recorder"] == plain["recorder"]
     assert traced == plain
+
+
+#: hw counters of one 1 MB ``measure_bandwidth`` run per fabric (the
+#: paper's W=16 stream), pinned to the last bit
+HW_PINS = {
+    "infiniband": {
+        "hw.bus.busy_us": 534659.3902339628, "hw.bus.bytes": 503374168.0,
+        "hw.bus.transfers": 32162.0, "hw.nic.mproc_busy_us": 10521.243374169966,
+        "hw.nic.rx_busy_us": 151946.91236370493,
+        "hw.nic.tx_busy_us": 151946.91236370493,
+        "hw.switch.busy_us": 284056.2222272073, "hw.switch.bytes": 251687084.0,
+        "hw.wire.busy_us": 284056.2222272073, "hw.wire.bytes": 251687084.0,
+    },
+    "myrinet": {
+        "hw.bus.busy_us": 534667.3614920656, "hw.bus.bytes": 503381816.0,
+        "hw.bus.transfers": 32162.0, "hw.nic.mproc_busy_us": 22325.903381813412,
+        "hw.nic.rx_busy_us": 485690.6592650024,
+        "hw.nic.tx_busy_us": 485690.6592650024,
+        "hw.sram.busy_us": 1411872.493519586,
+        "hw.switch.busy_us": 1014930.8863956642, "hw.switch.bytes": 251690908.0,
+        "hw.wire.busy_us": 1014930.8863956642, "hw.wire.bytes": 251690908.0,
+    },
+    "quadrics": {
+        "hw.bus.busy_us": 1209829.2687774273, "hw.bus.bytes": 503331860.0,
+        "hw.bus.transfers": 31681.0, "hw.nic.mproc_busy_us": 35108.963339560716,
+        "hw.nic.rx_busy_us": 772160.6229540501,
+        "hw.nic.tx_busy_us": 772160.6229540501,
+        "hw.switch.busy_us": 695684.0736279039, "hw.switch.bytes": 251669780.0,
+        "hw.wire.busy_us": 695684.0736279039, "hw.wire.bytes": 251669780.0,
+    },
+}
+
+
+@pytest.mark.parametrize("network", sorted(HW_PINS))
+def test_bandwidth_run_hw_counters_pinned(network):
+    """Bus, wire, switch, SRAM and NIC counters of a 1 MB stream are
+    exact: busy times keep their per-chunk float summation order, and
+    the span tallies read back every chunk and byte."""
+    from repro.microbench.bandwidth import measure_bandwidth
+    from repro.obs.collector import collect
+
+    with collect() as col:
+        measure_bandwidth(network, sizes=(1 << 20,))
+    counters = col.metrics.to_dict()["counters"]
+    hw = {k: v for k, v in counters.items()
+          if k.startswith(("hw.bus.", "hw.wire.", "hw.switch.", "hw.nic."))
+          or k == "hw.sram.busy_us"}
+    assert hw == HW_PINS[network]

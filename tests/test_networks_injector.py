@@ -109,6 +109,39 @@ class TestInjector:
         assert run_once() == run_once()
 
 
+class TestPostPacket:
+    """``post_packet`` is ``send_packet`` without the local-completion
+    entry: the same reservations and deliveries, one engine entry fewer
+    per packet."""
+
+    #: control-sized to multi-group messages
+    SIZES = (0, 4, 2048, 16 * 1024, 40_000, 64 * 1024 + 1, 300_000, 64, 96)
+    #: across the switch both ways, and through node 0's NIC loopback
+    PAIRS = ((0, 1), (1, 0), (0, 2))
+
+    def _deliveries(self, network, post):
+        sim, fab = build(network)
+        fab.attach(2, 0)
+        got = []
+        for r in (0, 1, 2):
+            fab.ports[r].nic_handler = lambda pkt: got.append(
+                (pkt.meta["i"], sim.now))
+        send = fab.post_packet if post else fab.send_packet
+        for i, n in enumerate(self.SIZES):
+            src, dst = self.PAIRS[i % 3]
+            send(Packet(kind="x", src_rank=src, dst_rank=dst, nbytes=n,
+                        meta={"i": i}))
+        sim.run()
+        return got, sim.events_processed
+
+    def test_same_deliveries_one_entry_fewer(self, network):
+        sent, sent_events = self._deliveries(network, post=False)
+        posted, posted_events = self._deliveries(network, post=True)
+        assert len(posted) == len(self.SIZES)
+        assert posted == sent  # same order, same float times
+        assert sent_events - posted_events == len(self.SIZES)
+
+
 class TestIncast:
     def test_hotspot_receiver_limited_by_its_port(self):
         """7 senders flooding one node cannot exceed the switch out-port."""

@@ -259,7 +259,7 @@ class TestDumpJson:
         runtime.run_spec(spec)
         blob = DirBackend(tmp_path, code_salt()).path(spec.digest).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "6337249df2d0d691b3daedb6dde6fddaec59694c934021f45d1e0216fd49d1c9")
+            "2f727faab8b9e90e81fed6a773c8a4545e6c093ebd79c878a8e1f57ecd8016bc")
 
 
 class TestDecodePausesCollector:
