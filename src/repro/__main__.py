@@ -183,6 +183,10 @@ def _cmd_bench(ns) -> int:
     if ns.np is not None:
         kwargs["nprocs"] = ns.np
     accepted = inspect.signature(registry[name]).parameters
+    if ns.iters is not None:
+        if "iters" not in accepted:
+            raise SystemExit(f"bench {name!r} takes no --iters")
+        kwargs["iters"] = ns.iters
     if ns.stats:
         if "stats" not in accepted:
             raise SystemExit(f"bench {name!r} does not support --stats "
@@ -430,7 +434,8 @@ def main(argv=None) -> int:
                         help="process count for bench/diff runs "
                              "(default: bench 2, diff 4)")
     parser.add_argument("--iters", type=int, default=None, metavar="N",
-                        help="iteration count for diff runs (default: 20)")
+                        help="iteration count for bench runs (default: "
+                             "the bench's own) and diff runs (default: 20)")
     parser.add_argument("--channel", action="append", default=None,
                         metavar="NAME",
                         help="timeline channel(s) to chart (repeatable; "

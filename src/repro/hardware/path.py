@@ -25,7 +25,7 @@ computation order, an error bounded by one service time that leaves
 steady-state throughput alone.  The walk costs O(stages x chunks)
 arithmetic and posts a single engine event per message — the key to
 simulating NAS-scale message counts quickly.  One kernel,
-:meth:`PipelinePath.walk_range`, makes every reservation: the
+:meth:`PipelinePath.walk_span`, makes every reservation: the
 injector's split-phase walks, :meth:`PipelinePath.schedule` and the
 traced walk.
 """
@@ -33,6 +33,7 @@ traced walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import Simulator
@@ -104,16 +105,21 @@ class PathSegment:
     """A fixed run of stages shared by many paths, flattened once.
 
     A fabric builds each node's source-side and destination-side stages
-    as one segment apiece, so a routed pair's path only adds its own
-    switch hops.  Paths share the Stage objects, which are never
-    mutated after construction.
+    as one segment apiece, and a topology builds one segment per routed
+    link hop, so a routed pair's path is a few references to shared
+    segments.  Paths share the Stage objects, which are never mutated
+    after construction.
     """
 
-    __slots__ = ("stages", "flat")
+    __slots__ = ("stages", "flat", "servers")
 
     def __init__(self, stages: Sequence[Stage]) -> None:
         self.stages = tuple(stages)
         self.flat = tuple(_flatten(s) for s in self.stages)
+        #: the stages' servers in stage order; a path whose split falls
+        #: at the end of its first segment scans these for its horizon
+        self.servers = tuple(s.server for s in self.stages
+                             if s.server is not None)
 
 
 class PipelinePath:
@@ -128,42 +134,77 @@ class PipelinePath:
     against cross-traffic (a FIFO server's scalar ``next_free`` cannot
     represent the idle gap before a future reservation).
 
-    ``stages`` may mix single stages with :class:`PathSegment` objects,
-    whose stages are spliced in place.
+    ``stages`` may mix single stages with :class:`PathSegment` objects;
+    runs of single stages are gathered into segments of their own.  A
+    path holds only its segments (``parts``) and the few values the
+    injector reads per packet.  ``stages`` and ``flat`` are built from
+    the parts on each read: only set-up, tracing and diagnostics read
+    them.
     """
+
+    __slots__ = ("sim", "parts", "chunk_bytes", "name", "split_stage",
+                 "nstages", "src_end", "src_servers", "src_span",
+                 "dst_span", "_spans")
 
     def __init__(self, sim: Simulator, stages: Sequence[Union[Stage, PathSegment]],
                  chunk_bytes: int = DEFAULT_CHUNK, name: str = "path",
                  split_stage: Optional[int] = None) -> None:
         self.sim = sim
-        self.stages: List[Stage] = []
-        #: flattened per-stage constants for the hot walk (see _flatten)
-        self._flat: List[tuple] = []
+        parts: List[PathSegment] = []
+        loose: List[Stage] = []
         for part in stages:
             if isinstance(part, PathSegment):
-                self.stages += part.stages
-                self._flat += part.flat
+                if loose:
+                    parts.append(PathSegment(loose))
+                    loose = []
+                parts.append(part)
             else:
-                self.stages.append(part)
-                self._flat.append(_flatten(part))
-        if not self.stages:
+                loose.append(part)
+        if loose:
+            parts.append(PathSegment(loose))
+        self.parts = tuple(parts)
+        self.nstages = sum(len(part.stages) for part in parts)
+        if not self.nstages:
             raise ValueError("path needs at least one stage")
         self.chunk_bytes = chunk_bytes
         self.name = name
         self.split_stage = split_stage
-        #: the injector's split, resolved once: stages [0, src_end) are
-        #: reserved at injection, [src_end, nstages) as each chunk arrives
-        self.nstages = len(self.stages)
+        #: the injector's split: stages [0, src_end) are reserved at
+        #: injection, [src_end, nstages) as each chunk arrives
         self.src_end = self.nstages if split_stage is None else split_stage + 1
         #: servers of the source-side stages, for the injector's
         #: horizon scan (the furthest reservation among them)
-        self.src_servers = [s.server for s in self.stages[:self.src_end]
-                            if s.server is not None]
-        #: (s_from, s_to) -> span memo (see _span) — the
-        #: destination-phase walk asks for the same span once per chunk
-        self._spans: dict = {}
+        first = parts[0]
+        if len(first.stages) == self.src_end:
+            self.src_servers = first.servers
+        else:
+            self.src_servers = tuple(s.server for s in self.stages[:self.src_end]
+                                     if s.server is not None)
+        #: span memos of the two injector phases, resolved on first use
+        #: (resolve_phases); dst_span stays None without a split
+        self.src_span: Optional[tuple] = None
+        self.dst_span: Optional[tuple] = None
+        #: (s_from, s_to) -> span memo of any other range: schedule's
+        #: whole path, the traced walk's single stages
+        self._spans: Optional[dict] = None
 
-    def _span(self, s_from: int, s_to: int) -> tuple:
+    @property
+    def stages(self) -> Tuple[Stage, ...]:
+        """Every stage of the path, in order."""
+        parts = self.parts
+        if len(parts) == 1:
+            return parts[0].stages
+        return tuple(chain.from_iterable(part.stages for part in parts))
+
+    @property
+    def flat(self) -> tuple:
+        """Every stage's flattened walk constants (see _flatten), in order."""
+        parts = self.parts
+        if len(parts) == 1:
+            return parts[0].flat
+        return tuple(chain.from_iterable(part.flat for part in parts))
+
+    def _memo(self, s_from: int, s_to: int) -> tuple:
         """The memo of stages ``[s_from, s_to)``: their flattened
         constants and one ``[chunks, bytes]`` tally cell, which each of
         the span's servers reads back (see
@@ -172,10 +213,10 @@ class PipelinePath:
         Memos are shared by content across the paths of one simulation
         (``sim.context``): the source phase of every path out of a node
         is one span, and so is the destination phase of every path
-        into a node behind one switch port.  A cell per path would cost
+        into a node over one route's hops.  A cell per path would cost
         a 64-node all-to-all about 4 MB.
         """
-        flat = tuple(self._flat[s_from:s_to])
+        flat = self.flat[s_from:s_to]
         shared = self.sim.context.setdefault(_SPAN_MEMOS, {})
         memo = shared.get(flat)
         if memo is None:
@@ -188,19 +229,51 @@ class PipelinePath:
             for srv, stages in holds.items():
                 srv.count_span(cell, stages)
             memo = shared[flat] = (flat, cell)
-        self._spans[(s_from, s_to)] = memo
+        return memo
+
+    def resolve_phases(self) -> tuple:
+        """Fill the ``src_span`` and ``dst_span`` slots; return ``src_span``.
+
+        The injector walks every packet's source phase and each of its
+        chunks' destination phase, so it reads their memos from these
+        slots rather than probing a dict per walk.
+        """
+        self.src_span = self._memo(0, self.src_end)
+        if self.src_end < self.nstages:
+            self.dst_span = self._memo(self.src_end, self.nstages)
+        return self.src_span
+
+    def span(self, s_from: int, s_to: int) -> tuple:
+        """The memo of stages ``[s_from, s_to)``, kept per range."""
+        spans = self._spans
+        if spans is None:
+            spans = self._spans = {}
+        memo = spans.get((s_from, s_to))
+        if memo is None:
+            memo = spans[(s_from, s_to)] = self._memo(s_from, s_to)
         return memo
 
     def walk_range(self, s_from: int, s_to: int, entries: Sequence[list],
-                   local_stage: Optional[int] = None,
-                   _untraced: bool = False) -> float:
+                   local_stage: Optional[int] = None) -> float:
         """Walk chunk states through stages ``[s_from, s_to)`` in place.
 
-        ``entries`` is a list of ``[head, tail, nbytes, first]`` chunk
-        states, updated in place chunk by chunk, so a server that
-        appears at two stages sees each chunk's two reservations back to
-        back.  Returns the max tail observed at ``local_stage`` (or 0.0
-        if that stage is outside the range).
+        :meth:`walk_span` on the range's memo; see there.
+        """
+        return self.walk_span(self.span(s_from, s_to), s_from, entries,
+                              local_stage)
+
+    def walk_span(self, memo: tuple, s_from: int, entries: Sequence[list],
+                  local_stage: Optional[int] = None,
+                  _untraced: bool = False) -> float:
+        """Walk chunk states through the span ``memo`` in place.
+
+        ``memo`` covers stages ``[s_from, s_from + len(memo[0]))`` of
+        this path (from :meth:`span`, or the ``src_span`` and
+        ``dst_span`` slots).  ``entries`` is a list of ``[head, tail,
+        nbytes, first]`` chunk states, updated in place chunk by chunk,
+        so a server that appears at two stages sees each chunk's two
+        reservations back to back.  Returns the max tail observed at
+        ``local_stage`` (or 0.0 if that stage is outside the range).
 
         This is the one stage-reservation kernel: the injector's
         split-phase walks, :meth:`schedule` and the traced walk all
@@ -216,10 +289,8 @@ class PipelinePath:
         """
         tracer = self.sim.tracer
         if tracer.wants_hw and not _untraced:
-            return self._walk_range_traced(s_from, s_to, entries, local_stage, tracer)
-        memo = self._spans.get((s_from, s_to))
-        if memo is None:
-            memo = self._span(s_from, s_to)
+            return self._walk_traced(s_from, s_from + len(memo[0]), entries,
+                                     local_stage, tracer)
         span, cell = memo
         cell[0] += len(entries)
         nbytes = 0
@@ -300,24 +371,25 @@ class PipelinePath:
         cell[1] += nbytes
         return local_max
 
-    def _walk_range_traced(self, s_from: int, s_to: int, entries: List[list],
-                           local_stage: Optional[int], tracer) -> float:
-        """:meth:`walk_range` plus one ``hw`` span per (chunk, stage).
+    def _walk_traced(self, s_from: int, s_to: int, entries: List[list],
+                     local_stage: Optional[int], tracer) -> float:
+        """:meth:`walk_span` plus one ``hw`` span per (chunk, stage).
 
         Drives the same kernel one (chunk, stage) at a time, chunk-outer
         like the untraced walk (a Myrinet path holds one SRAM server at
         two stages), so turning tracing on cannot move a result by even
         one ulp.
         """
+        stages = self.stages
         local_max = 0.0
         for entry in entries:
             chunk = [entry]
             csize = entry[2]
             for s in range(s_from, s_to):
                 head_in, tail_in = entry[0], entry[1]
-                self.walk_range(s, s + 1, chunk, None, True)
+                self.walk_span(self.span(s, s + 1), s, chunk, None, True)
                 head, tail = entry[0], entry[1]
-                sname = self.stages[s].name or f"s{s}"
+                sname = stages[s].name or f"s{s}"
                 tracer.emit(
                     head_in, "hw", f"{self.name}:{s}:{sname}",
                     f"{sname} {int(csize)}B", kind="X",
@@ -343,7 +415,7 @@ class PipelinePath:
 
         ``start`` defaults to the current simulation time.  The fabric
         injector instead walks the source and destination phases apart
-        (see ``split_stage``); both go through :meth:`walk_range`.
+        (see ``split_stage``); both go through :meth:`walk_span`.
         """
         t0 = self.sim.now if start is None else start
         entries = [[t0, t0, csize, charge_first_extra and i == 0]
@@ -363,9 +435,8 @@ class PipelinePath:
         sustained positive backlog, an idle one sits at zero).
         """
         backlog = 0.0
-        for flat in self._flat:
-            srv = flat[0]
-            if srv is not None:
+        for part in self.parts:
+            for srv in part.servers:
                 queued = srv.next_free - now
                 if queued > backlog:
                     backlog = queued
@@ -375,16 +446,17 @@ class PipelinePath:
         """Latency of ``nbytes`` through an idle path (no reservations).
 
         Useful for calibration assertions; does not mutate server state.
-        It books occupancy exactly as :meth:`walk_range` does, on free
+        It books occupancy exactly as :meth:`walk_span` does, on free
         times kept per server, so a server that a path holds at two
         stages (Myrinet's SRAM, a loopback's bus) is one server here
         too, and the answer equals a ``schedule`` on fresh servers.
         """
+        flat = self.flat
         free: dict = {}
         delivered = 0.0
         for i, csize in enumerate(chunk_sizes(nbytes, self.chunk_bytes)):
             head = tail = 0.0
-            for srv, ov, extra, lat, cut, trail, inv_bw in self._flat:
+            for srv, ov, extra, lat, cut, trail, inv_bw in flat:
                 if srv is None:
                     head += lat
                     tail += lat

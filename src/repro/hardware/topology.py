@@ -24,9 +24,11 @@ A topology answers two questions:
 2. **Contention** — :meth:`Topology.switch_stages` materializes one
    :class:`~repro.core.resources.FifoServer` per traversed link (lazily,
    so a 4096-node topology costs only the links actually routed over)
-   and wraps them in pipeline :class:`~repro.hardware.path.Stage`\\ s.
-   Two flows whose routes share an up-link serialize at link rate —
-   which is exactly the bisection behaviour a flat crossbar cannot show.
+   and wraps each in a pipeline :class:`~repro.hardware.path.Stage`
+   inside a one-stage :class:`~repro.hardware.path.PathSegment`, built
+   once per link and shared by every pair routed over it.  Two flows
+   whose routes share an up-link serialize at link rate — which is
+   exactly the bisection behaviour a flat crossbar cannot show.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.resources import FifoServer
-from repro.hardware.path import Stage
+from repro.hardware.path import PathSegment, Stage
 from repro.hardware.switch import CrossbarSwitch, make_link
 
 __all__ = [
@@ -65,6 +67,8 @@ class Topology:
         self.hop_latency_us = hop_latency_us
         self.wire_latency_us = wire_latency_us
         self.name = name
+        #: (link key, is-last-hop) -> that hop's shared segment
+        self._hops: Dict[Tuple[LinkKey, bool], PathSegment] = {}
 
     def attach_endpoint(self, node: int) -> None:
         """Register a node with live traffic (fabric attach hook)."""
@@ -86,21 +90,31 @@ class Topology:
         """The (lazily created) FIFO server behind one link key."""
         raise NotImplementedError
 
-    def switch_stages(self, src_node: int, dst_node: int) -> List[Stage]:
-        """Pipeline stages for the switch traversal of one routed pair.
+    def switch_stages(self, src_node: int, dst_node: int) -> List[PathSegment]:
+        """The switch traversal of one routed pair, one segment per hop.
 
         Each hop charges the switch cut-through latency plus one wire
         flight; the final hop is named ``downlink`` to match the
-        single-crossbar stage layout in traces and critical paths.
+        single-crossbar stage layout in traces and critical paths.  A
+        hop's one-stage segment is built once per (link key,
+        is-last-hop) and shared by every pair routed over that link, so
+        its Stage, flattened walk tuple and name exist once per link
+        rather than once per pair and hop.
         """
         route = self.route(src_node, dst_node)
-        per_hop = self.hop_latency_us + self.wire_latency_us
         last = len(route) - 1
-        return [
-            Stage(self.link(key), latency_us=per_hop,
-                  name="downlink" if i == last else self._hop_name(key))
-            for i, key in enumerate(route)
-        ]
+        hops = self._hops
+        segments = []
+        for i, key in enumerate(route):
+            hop = (key, i == last)
+            seg = hops.get(hop)
+            if seg is None:
+                seg = hops[hop] = PathSegment((Stage(
+                    self.link(key),
+                    latency_us=self.hop_latency_us + self.wire_latency_us,
+                    name="downlink" if i == last else self._hop_name(key)),))
+            segments.append(seg)
+        return segments
 
     @staticmethod
     def _hop_name(key: LinkKey) -> str:

@@ -97,6 +97,7 @@ class InfiniBandFabric(Fabric):
     # dst bus.  Local completion = data has cleared the TX engine
     # (stage 2).
     local_stage_index = 2
+    path_variants = {None: ("ib", (), ())}
 
     def _src_stages(self, node: int) -> list:
         p = self.params
@@ -119,15 +120,6 @@ class InfiniBandFabric(Fabric):
             Stage(hca.rx_engine, name="hca_rx"),
             bus.stage("dst_bus"),
         ]
-
-    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
-        stages = [
-            self._segment(self._src_stages, src_node),
-            *self.topology.switch_stages(src_node, dst_node),
-            self._segment(self._dst_stages, dst_node),
-        ]
-        return PipelinePath(self.sim, stages, name=f"ib.{src_node}->{dst_node}",
-                            split_stage=3)  # after the uplink
 
     def _build_loopback_path(self, node: int) -> PipelinePath:
         """HCA loopback: out through TX, straight back in through RX.

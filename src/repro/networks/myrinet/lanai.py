@@ -14,7 +14,7 @@ speed.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.core.engine import Simulator
 from repro.core.resources import FifoServer
@@ -49,7 +49,6 @@ class MyrinetFabric(Fabric):
         self.srams: Dict[int, FifoServer] = {}
         self.pin_caches: Dict[int, PinDownCache] = {}
         self.gm_ports: Dict[int, GmPort] = {}
-        self._large_paths: Dict[Tuple[int, int], PipelinePath] = {}
 
     # -- adapters --------------------------------------------------------
     def nic(self, node_id: int) -> NicPorts:
@@ -92,6 +91,9 @@ class MyrinetFabric(Fabric):
     # [2]=tx engine, [3]=SRAM pass(es), then uplink, switch out-port,
     # LANai firmware (RX work), SRAM pass(es), rx engine, dst bus.
     local_stage_index = 2
+    #: "sf": the fully staged (store-and-forward) path of large messages
+    path_variants = {None: ("myri", (False,), (False,)),
+                     "sf": ("myri.sf", (True,), (True,))}
 
     def _src_stages(self, node: int, staged: bool) -> list:
         p = self.params
@@ -138,28 +140,6 @@ class MyrinetFabric(Fabric):
         ]
         return stages
 
-    def _stages(self, src_node: int, dst_node: int, staged: bool) -> list:
-        return [
-            self._segment(self._src_stages, src_node, staged),
-            *self.topology.switch_stages(src_node, dst_node),
-            self._segment(self._dst_stages, dst_node, staged),
-        ]
-
-    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
-        return PipelinePath(self.sim, self._stages(src_node, dst_node, staged=False),
-                            name=f"myri.{src_node}->{dst_node}",
-                            split_stage=4)  # after the uplink
-
-    def _large_path(self, src_node: int, dst_node: int) -> PipelinePath:
-        key = (src_node, dst_node)
-        p = self._large_paths.get(key)
-        if p is None:
-            p = PipelinePath(self.sim, self._stages(src_node, dst_node, staged=True),
-                             name=f"myri.sf.{src_node}->{dst_node}",
-                             split_stage=5)  # after the uplink
-            self._large_paths[key] = p
-        return p
-
     def _build_loopback_path(self, node: int) -> PipelinePath:
         p = self.params
         bus = self.cluster.node(node).bus(p.bus_kind)
@@ -180,5 +160,5 @@ class MyrinetFabric(Fabric):
     # -- size-dependent path selection -------------------------------------
     def _select_path(self, pkt: Packet, wire_bytes: int, src_node: int, dst_node: int):
         if wire_bytes > self.params.sram_cutthrough_bytes and src_node != dst_node:
-            return self._large_path(src_node, dst_node), self.local_stage_index
+            return self.path(src_node, dst_node, "sf"), self.local_stage_index
         return super()._select_path(pkt, wire_bytes, src_node, dst_node)

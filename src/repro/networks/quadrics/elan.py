@@ -16,7 +16,7 @@ Path peculiarities vs. the other two networks:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.core.engine import Simulator
 from repro.hardware.cluster import Cluster
@@ -49,7 +49,6 @@ class QuadricsFabric(Fabric):
         self.nics: Dict[int, NicPorts] = {}
         self.tlbs: Dict[int, NicTlb] = {}
         self.tports: Dict[int, TportsPort] = {}
-        self._inline_paths: Dict[Tuple[int, int], PipelinePath] = {}
 
     # -- adapters -----------------------------------------------------------
     def nic(self, node_id: int) -> NicPorts:
@@ -97,6 +96,11 @@ class QuadricsFabric(Fabric):
     # [6]=rx engine, [7]=dst bus.  Local completion = cleared the TX
     # engine.
     local_stage_index = 2
+    #: "pio": payloads within the Elan3 inline limit, which the host
+    #: already pushed into the command port (cost charged as Tports host
+    #: overhead), so the path has no source bus DMA stage
+    path_variants = {None: ("qsn", (True,), ()),
+                     "pio": ("qsn.pio", (False,), ())}
 
     def _bus_stage(self, node: int, name: str) -> Stage:
         p = self.params
@@ -127,33 +131,6 @@ class QuadricsFabric(Fabric):
             self._bus_stage(node, "dst_bus"),
         ]
 
-    def _stages(self, src_node: int, dst_node: int, dma: bool) -> list:
-        return [
-            self._segment(self._src_stages, src_node, dma),
-            *self.topology.switch_stages(src_node, dst_node),
-            self._segment(self._dst_stages, dst_node),
-        ]
-
-    def _build_path(self, src_node: int, dst_node: int) -> PipelinePath:
-        return PipelinePath(self.sim, self._stages(src_node, dst_node, dma=True),
-                            name=f"qsn.{src_node}->{dst_node}",
-                            split_stage=3)  # after the uplink
-
-    def _inline_path(self, src_node: int, dst_node: int) -> PipelinePath:
-        """PIO path for payloads within the Elan3 inline limit.
-
-        No source bus DMA stage: the host already pushed the bytes into
-        the command port (cost charged as Tports host overhead).
-        """
-        key = (src_node, dst_node)
-        path = self._inline_paths.get(key)
-        if path is None:
-            path = PipelinePath(self.sim, self._stages(src_node, dst_node, dma=False),
-                                name=f"qsn.pio.{src_node}->{dst_node}",
-                                split_stage=2)  # after the uplink
-            self._inline_paths[key] = path
-        return path
-
     def _build_loopback_path(self, node: int) -> PipelinePath:
         """NIC loopback — MPICH-Quadrics has no shared-memory device, so
         intra-node messages cross the PCI bus twice (Fig. 9's
@@ -176,5 +153,5 @@ class QuadricsFabric(Fabric):
         if pkt.nbytes <= self.params.inline_bytes and src_node != dst_node:
             # inline data leaves host memory synchronously (PIO); local
             # completion is after the TX engine (stage 1 of this path).
-            return self._inline_path(src_node, dst_node), 1
+            return self.path(src_node, dst_node, "pio"), 1
         return super()._select_path(pkt, wire_bytes, src_node, dst_node)

@@ -30,7 +30,7 @@ def _checksum(src, dst, nbytes, tag, seq):
     return (src * 7 + dst * 13 + nbytes * 3 + tag * 31 + seq * 17) % 251
 
 
-def _run_schedule(schedule, network, nprocs=4, ppn=1):
+def _run_schedule(schedule, network, nprocs=4, ppn=1, net_overrides=None):
     """Execute the schedule; receivers post in per-(src,tag) send order."""
     # per (src, dst, tag): ordered sequence numbers
     seqs = {}
@@ -62,7 +62,8 @@ def _run_schedule(schedule, network, nprocs=4, ppn=1):
         for buf, want in checks:
             assert buf.data[0] == want and buf.data[-1] == want
 
-    world = MPIWorld(nprocs, network=network, ppn=ppn, record=False)
+    world = MPIWorld(nprocs, network=network, ppn=ppn, record=False,
+                     net_overrides=net_overrides)
     res = world.run(fn)
     return res.elapsed_us
 
@@ -73,6 +74,18 @@ class TestRandomSchedules:
     @settings(max_examples=60, deadline=None)
     def test_property_all_payloads_delivered(self, schedule, net):
         _run_schedule(schedule, net)
+
+    @given(schedule=_schedule,
+           net=st.sampled_from(["infiniband", "myrinet", "quadrics"]),
+           topology=st.sampled_from(["fat_tree", "clos", "federated_elite"]))
+    @settings(max_examples=20, deadline=None)
+    def test_property_routed_topologies(self, schedule, net, topology):
+        """Radix-4 switches put the four nodes on two leaves, so pairs
+        across them route three hops over shared up- and down-links:
+        every payload arrives intact, and a rerun times identically."""
+        overrides = {"topology": topology, "topology_radix": 4}
+        elapsed = _run_schedule(schedule, net, net_overrides=overrides)
+        assert _run_schedule(schedule, net, net_overrides=overrides) == elapsed
 
     @given(schedule=_schedule)
     @settings(max_examples=20, deadline=None)

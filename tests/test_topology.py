@@ -15,17 +15,21 @@ Three properties are load-bearing:
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro.core.engine import Simulator
+from repro.hardware.path import Stage, _flatten
 from repro.hardware.switch import CrossbarSwitch
 from repro.hardware.topology import SingleCrossbar, make_topology
 from repro.microbench import measure_latency
 from repro.microbench.memusage import analytic_memory_mb, measure_memory_usage
 from repro.mpi.devices import device_class_for
+from repro.mpi.world import MPIWorld
 from repro.runtime import RunSpec, SweepExecutor
 
 #: spec digests computed on the pre-topology seed tree (abb2384).  The
@@ -144,6 +148,101 @@ class TestContention:
         assert len(list(t.iter_links())) == 0
         assert t.link(key) is t.link(key)
         assert len(list(t.iter_links())) == 1
+
+
+#: the routed fabrics at 64 nodes, with their path variants
+ROUTED = [("infiniband", "fat_tree", (None,)),
+          ("myrinet", "clos", (None, "sf")),
+          ("quadrics", "federated_elite", (None, "pio"))]
+
+#: each path variant's split, its last source-side stage (the uplink)
+SPLITS = {("infiniband", None): 3, ("myrinet", None): 4, ("myrinet", "sf"): 5,
+          ("quadrics", None): 3, ("quadrics", "pio"): 2}
+
+#: tracemalloc bytes per path for all 4,032 default paths of a 64-node
+#: fabric when every path kept its own copy of each hop's Stage, flat
+#: tuple and name, plus a span dict (measured on CPython 3.11)
+PER_PAIR_COPY_BYTES = {"fat_tree": 2260, "clos": 1724, "federated_elite": 1723}
+
+
+def routed_fabric(network, topology, nnodes=64):
+    return MPIWorld(nnodes, network=network, record=False,
+                    net_overrides={"topology": topology}).fabric
+
+
+def per_pair_stages(fab, src, dst, variant):
+    """A pair's stages built afresh, sharing no Stage with other pairs."""
+    _, src_args, dst_args = fab.path_variants[variant]
+    topo = fab.topology
+    route = topo.route(src, dst)
+    hops = [Stage(topo.link(key),
+                  latency_us=topo.hop_latency_us + topo.wire_latency_us,
+                  name="downlink" if i == len(route) - 1
+                  else topo._hop_name(key))
+            for i, key in enumerate(route)]
+    return [*fab._src_stages(src, *src_args), *hops,
+            *fab._dst_stages(dst, *dst_args)]
+
+
+class TestSharedPathPieces:
+    """Routed paths are built from per-node and per-link segments."""
+
+    def test_pairs_over_one_link_share_its_hop(self):
+        fab = routed_fabric("infiniband", "fat_tree")
+        route_a, route_b = fab.topology.route(0, 16), fab.topology.route(1, 32)
+        assert route_a[0] == route_b[0]    # one leaf up-link (d-mod-k)
+        a, b = fab.path(0, 16), fab.path(1, 32)
+        up = SPLITS["infiniband", None] + 1   # first stage past the source
+        assert a.parts[1] is b.parts[1]
+        assert a.stages[up] is b.stages[up]
+        assert a.flat[up] is b.flat[up]
+        # every pair into node 63 shares its down-link and its node segment
+        c, d = fab.path(0, 63), fab.path(5, 63)
+        assert c.parts[-2:] == d.parts[-2:]
+        assert c.stages[-4] is d.stages[-4]
+        assert c.stages[-4].name == "downlink"
+        assert c.flat[-4] is d.flat[-4]
+
+    @pytest.mark.parametrize("network,topology,variants", ROUTED)
+    def test_paths_flatten_like_a_per_pair_build(self, network, topology,
+                                                 variants):
+        """Every pair and variant: the same walk constants (server,
+        overhead, extra, latency, cut, trailing, 1/bw), stage names and
+        split as stages built for that pair alone."""
+        fab = routed_fabric(network, topology)
+        for variant in variants:
+            for src in range(64):
+                for dst in range(64):
+                    if src == dst:
+                        continue
+                    path = fab.path(src, dst, variant)
+                    ref = per_pair_stages(fab, src, dst, variant)
+                    assert path.flat == tuple(_flatten(s) for s in ref)
+                    assert [s.name for s in path.stages] == \
+                        [s.name for s in ref]
+                    assert path.split_stage == SPLITS[network, variant]
+
+    @pytest.mark.parametrize("network,topology",
+                             [(net, topo) for net, topo, _ in ROUTED])
+    def test_path_bytes_at_most_half_a_per_pair_copy(self, network, topology):
+        """Building all 4,032 paths traces at most half the bytes per
+        path that per-pair copies of every hop took."""
+        fab = routed_fabric(network, topology)
+        gc.collect()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for src in range(64):
+                for dst in range(64):
+                    if src != dst:
+                        fab.path(src, dst)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert traced / 4032 <= PER_PAIR_COPY_BYTES[topology] / 2
 
 
 class TestFlatCrossbarPreservation:
