@@ -270,6 +270,16 @@ def test_cli_bench_stats_and_timeline():
     assert "| sweep:" not in out
 
 
+def test_cli_bench_iters_reach_the_bench():
+    rc, out = _run_cli(["bench", "latency", "--network", "myrinet",
+                        "--stats", "--iters", "3"])
+    assert rc == 0
+    row = next(ln for ln in out.splitlines() if ln.lstrip().startswith("4 B"))
+    assert row.split()[2] == "3"    # repetitions counted per size
+    with pytest.raises(SystemExit, match="takes no --iters"):
+        main(["bench", "memory_usage", "--iters", "2"])
+
+
 # ---------------------------------------------------------------------------
 # repetition statistics
 # ---------------------------------------------------------------------------
