@@ -344,10 +344,10 @@ class Fabric:
 
         Reads only: the batched per-packet tallies (cumulative until
         ``flush_metrics`` clears them at end of run), per-port RX queue
-        depths, and the worst queued-ahead backlog across the cached
-        default-variant and loopback paths.  Called at most once per
-        sampling interval, so the O(ports + paths) scan is off the
-        per-message hot path.
+        depths, and the worst queued-ahead backlog across every cached
+        path, size variants included.  Called at most once per sampling
+        interval, so the O(ports + paths) scan is off the per-message
+        hot path.
         """
         depth_total = depth_max = 0
         for port in self.ports.values():
@@ -356,11 +356,10 @@ class Fabric:
             if d > depth_max:
                 depth_max = d
         backlog = 0.0
-        for (_, _, variant), path in self._paths.items():
-            if variant is None:
-                b = path.backlog_us(now)
-                if b > backlog:
-                    backlog = b
+        for path in self._paths.values():
+            b = path.backlog_us(now)
+            if b > backlog:
+                backlog = b
         return {
             "net.rx.depth.total": float(depth_total),
             "net.rx.depth.max": float(depth_max),

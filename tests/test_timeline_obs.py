@@ -106,6 +106,17 @@ def test_timeline_channels_capture_live_state():
         "cumulative wire bytes must be monotonic"
 
 
+@pytest.mark.parametrize("size", [4, 64])
+def test_timeline_backlog_reads_size_variant_paths(size):
+    """A run that sends only over a size variant (Quadrics' inline
+    ``pio`` path for small messages) still shows its pipeline backlog."""
+    payload = runtime.run_spec(
+        RunSpec.microbench("latency", "quadrics", sizes=(size,),
+                           timeline=1.0))
+    (timeline,) = payload["timeline"]
+    assert max(timeline["channels"]["hw.path.backlog_us"]) > 0.0
+
+
 def test_timeline_decimation_keeps_uniform_grid():
     from repro.microbench.latency import measure_latency
 
