@@ -63,11 +63,14 @@ class AppResult:
 
 
 def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
-    """Execute one app RunSpec on a fresh world; return the plain payload.
+    """Execute one app RunSpec on a fresh world; return its payload.
 
     This is the simulation core behind ``run_app``, invoked by the
     runtime executor (possibly in a worker process), which adds the
-    world's ``metrics`` from the spec's collector.  In paper mode,
+    world's ``metrics`` from the spec's collector.  A recorded run's
+    ``recorder`` carries the Recorder's packed blocks
+    (:meth:`~repro.profiling.recorder.Recorder.to_dict`); the runtime
+    decodes them where the payload leaves it.  In paper mode,
     only ``sample_iters`` of the homogeneous main loop are simulated;
     the loop time and the profile are extrapolated to the full
     iteration count (``recorder.scale``).
@@ -123,8 +126,8 @@ def simulate_app_spec(spec: RunSpec, tracer=None) -> dict:
 
 
 def app_result_from_payload(payload: dict) -> AppResult:
-    """Rehydrate an :class:`AppResult` (incl. a private Recorder) from a
-    payload."""
+    """Rehydrate an :class:`AppResult` (incl. a Recorder) from a payload,
+    plain or packed."""
     recorder = (Recorder.from_dict(payload["recorder"])
                 if payload["recorder"] is not None else None)
     return AppResult(

@@ -57,7 +57,11 @@ class TableResult:
 
 
 def _profile_summary(payload: dict) -> dict:
-    """Every profiling statistic Tables 1 and 3-6 read off one app run."""
+    """Every profiling statistic Tables 1 and 3-6 read off one app run.
+
+    A run simulated in this sweep arrives with its Recorder's packed
+    blocks, which the statistics iterate without decoding a row.
+    """
     rec = Recorder.from_dict(payload["recorder"])
     return {"sizes": message_size_histogram(rec),
             "nonblocking": nonblocking_stats(rec),
