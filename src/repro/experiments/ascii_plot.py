@@ -38,11 +38,12 @@ def line_chart(series: Sequence[Series], title: str = "", width: int = 64,
             f = 0.0
         return min(width - 1, int(round(f * (width - 1))))
 
+    cols = {x: xpos(x) for x in xs}
     grid = [[" "] * width for _ in range(height)]
     for si, s in enumerate(series):
         mark = _MARKS[si % len(_MARKS)]
         for x, y in s.points:
-            col = xpos(x)
+            col = cols[x]
             row = height - 1 - min(height - 1, int((y - ymin) / (ymax - ymin) * (height - 1)))
             grid[row][col] = mark
     lines = []
