@@ -1,5 +1,6 @@
 """Tests for the CLI entry point, the profile report and new collectives."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -42,6 +43,14 @@ class TestCli:
         assert out.returncode == 0
         assert "communication profile" in out.stdout
         assert "collectives:" in out.stdout
+
+    def test_profile_output_pinned(self):
+        """``repro profile lu.B 8`` keeps its text byte for byte (sha256
+        taken when ``run_app`` still decoded and re-packed the run)."""
+        out = _cli("profile", "lu.B", "8")
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "9b8598470a0b6f549df570e4d05034cafe848f1bc312fd474cde867fb7eadbd6")
 
     def test_profile_needs_args(self):
         out = _cli("profile")
